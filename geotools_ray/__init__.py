@@ -13,7 +13,7 @@ Layout:
   sources/   table generators, readers/writers (lance-or-parquet)
   stages/    map_batches stage functions & actor classes
   ops/       full pipelines composed of stages (the operator library)
-  state/     manifests, lineage records, metrics
+  state/     checkpoint manifests and lineage records
 
 Nothing in this package calls ray.init(); sessions are owned by the
 caller (bench.py, tests/conftest.py, or the evaluation driver).

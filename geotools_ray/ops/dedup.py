@@ -60,30 +60,21 @@ def _splitmix64(x: np.ndarray, seed: int) -> np.ndarray:
 
 
 def exact_dedup(ds: ray.data.Dataset, key_cols: list[str], order_col: str,
-                num_parts: int | None = None, salt_hot: bool = False,
-                hot_hashes=None) -> ray.data.Dataset:
+                num_parts: int | None = None, salt_hot: bool = False) -> ray.data.Dataset:
     """Keep the row with min(order_col) per key (U4).
 
     min-per-key is associative, so skewed keys (a 10^5x-duplicated
-    document) salt cleanly (north_rule): with `salt_hot` a sampled
-    probe finds hot keys, phase 1 keeps min per (key, salt) — a hot
-    key's rows split over salt_k partitions — and phase 2 merges the
-    <= salt_k survivors per key. Pass `hot_hashes` to skip the probe
-    (e.g. counts known from a manifest)."""
+    document) salt cleanly (north_rule): with `salt_hot`,
+    salted_grouped_map probes for hot keys, phase 1 keeps min per
+    (key, salt) and phase 2 merges the few survivors per key."""
 
     def drop(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(order_col).drop_duplicates(key_cols, keep="first")
 
-    if not (salt_hot or hot_hashes is not None):
+    if not salt_hot:
         return grouped_map(ds, key_cols, drop, num_parts=num_parts)
 
-    from ..stages.grouped import detect_hot_buckets, salted_grouped_map
-
-    hot_buckets = None
-    if hot_hashes is None:
-        # one-pass histogram probe; bucket flags salt a superset of the
-        # hot keys, harmless for the associative min-per-key partials
-        hot_buckets = detect_hot_buckets(ds, key_cols)
+    from ..stages.grouped import salted_grouped_map
 
     def drop_salted(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(order_col).drop_duplicates(
@@ -93,10 +84,7 @@ def exact_dedup(ds: ray.data.Dataset, key_cols: list[str], order_col: str,
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         return drop(df).drop(columns=["_salt"], errors="ignore")
 
-    return salted_grouped_map(
-        ds, key_cols, drop_salted, merge, hot_hashes=hot_hashes,
-        hot_buckets=hot_buckets, num_parts=num_parts,
-    )
+    return salted_grouped_map(ds, key_cols, drop_salted, merge, num_parts=num_parts)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
     stats = cfg.stats
     qn = cfg.quantiles
 
-    from ..stages.grouped import detect_hot_buckets, grouped_map, salted_grouped_map
+    from ..stages.grouped import grouped_map, salted_grouped_map
 
     def _finalize_rows(cids, values, unf=None) -> pd.DataFrame:
         rows: dict[str, list] = {"cell_id": []}
@@ -265,22 +265,17 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
         return grouped_map(cells, ["cell_id"], per_part)
 
     # skew-salted exact path (north_rule: hot cells are salted and
-    # split): a sampled probe finds cells holding > ~1% of the data;
-    # their raw values shuffle under (cell_id, salt) so no phase-1
-    # partition holds more than ~1/salt_k of a hot cell, then the
-    # per-cell exact kernels run on the re-merged (sorted) values.
-    # The exact kernels need the full value multiset, so a hot cell's
-    # bytes still meet in its phase-2 merge task — but that task holds
-    # ONE cell, not a partition's worth, and every algebraic stat
+    # split): salted_grouped_map flags cells holding more than one
+    # partition's share of the rows; their raw values shuffle under
+    # (cell_id, salt) so no phase-1 partition holds a whole hot cell,
+    # then the per-cell exact kernels run on the re-merged (sorted)
+    # values. The exact kernels need the full value multiset, so a hot
+    # cell's bytes still meet in its phase-2 merge task — but that task
+    # holds ONE cell, not a partition's worth, and every algebraic stat
     # should use the 'partial' strategy instead (skew-free by design).
-    # materialize ONCE: the probe's random_sample would otherwise
-    # execute the full upstream read+filter+assign pipeline a second
-    # time just to sample 5% of it
+    # materialize ONCE: the probe would otherwise execute the full
+    # upstream read+filter+assign pipeline a second time
     cells = cells.materialize()
-    # one-pass histogram probe (no shuffle); bucket-level flags salt a
-    # superset of the hot keys, which the salted path tolerates by
-    # construction (identical output, test_salting.py)
-    hot = detect_hot_buckets(cells, ["cell_id"])
 
     def chunk(df: pd.DataFrame) -> pd.DataFrame:
         groups = list(df.groupby(["cell_id", "_salt"], sort=False))
@@ -316,9 +311,7 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
             unf.append(int(g["unf"].sum()))
         return _finalize_rows(cids, vals, unf if quirk else None)
 
-    return salted_grouped_map(
-        cells, ["cell_id"], chunk, merge, hot_hashes=None, hot_buckets=hot
-    )
+    return salted_grouped_map(cells, ["cell_id"], chunk, merge)
 
 
 def add_cell_coords(stats_ds: ray.data.Dataset, b: Bounds, res: float) -> ray.data.Dataset:

@@ -94,7 +94,7 @@ def assign_and_join(
 
 
 def dedup_by_phash(joined: ray.data.Dataset, num_parts: int | None = None,
-                   hot_hashes=None, salt_hot: bool = False) -> ray.data.Dataset:
+                   salt_hot: bool = False) -> ray.data.Dataset:
     """Exact dedup (U4): keep the lexicographically-first image_id per
     (phash, polygon_id), permutation-safe and fully vectorized.
 
@@ -105,11 +105,10 @@ def dedup_by_phash(joined: ray.data.Dataset, num_parts: int | None = None,
     here cost ~30 s at 100k images / 50k keys; this path is ~1 s).
 
     first-per-key is associative, so a hot phash (a meme duplicated
-    10^5x across the corpus) salts cleanly: pass `hot_hashes`
-    (detect_hot_key_hashes over the same keys, or counts known from
-    the ingest manifest) and the hot keys' rows split over salt_k
-    phase-1 partitions, a per-(key, salt) first each, then a
-    per-key merge of the <= salt_k survivors (north_rule)."""
+    10^5x across the corpus) salts cleanly: with `salt_hot`,
+    salted_grouped_map probes for hot keys and splits their rows over
+    its phase-1 partitions, a per-(key, salt) first each, then a
+    per-key merge of the few survivors (north_rule)."""
     from ..stages.grouped import grouped_map, salted_grouped_map
 
     def _first_per(cols):
@@ -136,35 +135,21 @@ def dedup_by_phash(joined: ray.data.Dataset, num_parts: int | None = None,
 
         return fn
 
-    hot_buckets = None
-    if salt_hot and hot_hashes is None:
-        # one-pass histogram probe over the narrow joined rows (no
-        # shuffle, ~0.2 s at 1M rows): a 10^5x-duplicated meme phash
-        # gets bucket-flagged and salted instead of serializing one
-        # partition (north_rule); with no skew the salted path fuses
-        # back into the single-shuffle grouped_map and costs nothing
-        from ..stages.grouped import detect_hot_buckets
-
-        hot_buckets = detect_hot_buckets(joined, ["phash", "polygon_id"])
-
-    if (hot_hashes is not None and len(hot_hashes)) or hot_buckets is not None:
+    key = ["phash", "polygon_id"]
+    if salt_hot:
 
         def merge(t: pa.Table) -> pa.Table:
-            out = _first_per(["phash", "polygon_id"])(t)
-            return out.drop_columns(["_salt"])
+            return _first_per(key)(t).drop_columns(["_salt"])
 
         return salted_grouped_map(
-            joined, ["phash", "polygon_id"],
-            _first_per(["phash", "polygon_id", "_salt"]), merge,
-            hot_hashes=hot_hashes, hot_buckets=hot_buckets,
+            joined, key, _first_per(key + ["_salt"]), merge,
             num_parts=num_parts, batch_format="pyarrow",
         )
 
     # batch-local combine is skipped: dups are ~1% so it wouldn't shrink
     # the shuffle; the single grouped_map shuffle does all the work
     return grouped_map(
-        joined, ["phash", "polygon_id"], _first_per(["phash", "polygon_id"]),
-        num_parts=num_parts, batch_format="pyarrow",
+        joined, key, _first_per(key), num_parts=num_parts, batch_format="pyarrow",
     )
 
 

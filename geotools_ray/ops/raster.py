@@ -1120,31 +1120,3 @@ def spill_points_tiles(
         edges.map_batches(replicate, batch_format="pyarrow"), ["bk"], pairs,
         num_parts=num_parts,
     )
-
-
-def detect_hot_keys(ds, key_col, threshold_frac=0.01, sample_frac=0.05, seed=7):
-    """Skew probe (north_rule): sampled per-key counts; keys whose
-    sampled share exceeds threshold_frac are 'hot' — callers salt them
-    (append key ^ salt in [0,k)) before a grouped shuffle, or route
-    them through the partial-aggregate path which is skew-free."""
-    from ray.data.aggregate import Count
-
-    sampled = ds.random_sample(sample_frac, seed=seed)
-    counts = sampled.groupby(key_col).aggregate(Count(alias_name="n")).materialize()
-    total = int(counts.sum("n") or 0)
-    if not total:
-        return {}
-    cut = threshold_frac * total
-
-    # filter DISTRIBUTED: the driver receives at most 1/threshold_frac
-    # hot keys, never the full per-key count table (cell/user-key
-    # cardinality is millions at scale — cf. stages/grouped.py's
-    # detect_hot_key_hashes, the hash-level variant the salted shuffle
-    # paths use)
-    def only_hot(t: pa.Table) -> pa.Table:
-        return t.filter(pa.array(t["n"].to_numpy(zero_copy_only=False) > cut))
-
-    hot = counts.map_batches(only_hot, batch_format="pyarrow").to_pandas()
-    if not len(hot):
-        return {}
-    return dict(zip(hot[key_col], hot["n"]))

@@ -10,10 +10,9 @@ pipeline needs where exact answers would shuffle everything:
   summing per key then re-pruning (Agarwal et al. 2013 show the merge
   keeps the deterministic guarantee: every key with true frequency
   > n/(capacity+1) survives with count underestimated by at most
-  n/(capacity+1)). This is the NON-SAMPLING skew probe: feed the
-  result straight into stages.grouped.salted_grouped_map, which
-  detect_hot_key_hashes serves today from a random sample — sampling
-  misses moderately hot keys at low rates; Misra-Gries cannot.
+  n/(capacity+1)). It is the candidate pass of the exact
+  sketch-then-verify heavy_hitters query, not the shuffle's skew
+  probe (that is stages.grouped.detect_hot_buckets).
 
 Both are deterministic (hash_columns key hashing, no RNG) and
 associative/commutative, so any batch/block partitioning produces the
@@ -166,11 +165,9 @@ def heavy_hitter_hashes(
     """Deterministic heavy-hitter probe: uint64 hash_columns() values
     of every key whose frequency MAY exceed threshold_frac of the
     rows, computed by mergeable Misra-Gries summaries (no sampling —
-    a key above the threshold cannot be missed, unlike the
-    random-sample probe in stages.grouped.detect_hot_key_hashes).
-    Output is a superset of the true hot set (false positives shrink
-    as capacity grows); feed it to salted_grouped_map, where salting a
-    lukewarm key costs only a few extra partial rows.
+    a key above the threshold cannot be missed). Output is a superset
+    of the true hot set (false positives shrink as capacity grows);
+    heavy_hitters_exact verifies it with exact counts.
 
     capacity defaults to 4/threshold_frac, giving count error
     <= n * threshold_frac/4 per merge level (2 levels here), so any

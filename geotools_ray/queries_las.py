@@ -98,11 +98,12 @@ def q_las_grid(sf_dir: str):
 
 def _quant(expr: str, scale: float) -> str:
     """The LAS round trip in SQL: round((v-0)/s) stored as int32, read
-    back as int*s + 0 — identical op order to write_las/_chunk_to_table."""
-    inv = 1.0 / scale
+    back as int*s + 0 — identical op order to write_las/_chunk_to_table.
+    round_even, not round: write_las quantizes with np.round, which
+    rounds .5 ties to even where DuckDB's round goes away from zero."""
     # (expr)/scale via multiply-by-inverse would NOT match numpy's
     # division; write the literal division DuckDB evaluates the same way
-    return f"CAST(round(({expr}) / {scale!r}) AS BIGINT) * {scale!r}"
+    return f"CAST(round_even(({expr}) / {scale!r}, 0) AS BIGINT) * {scale!r}"
 
 
 SQL_LAS_GRID = f"""

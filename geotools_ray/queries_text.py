@@ -473,8 +473,7 @@ def q_heavy_hitters(sf_dir: str, threshold_frac: float = 0.008):
     counts only the candidates exactly and applies
     count >= ceil(threshold_frac * n). The shuffle moves
     O(batches x candidates) partial rows, never a per-key count table
-    — the 100-TB shape for 'which keys are hot' (and the non-sampling
-    feeder for salted_grouped_map's hot_hashes)."""
+    — the 100-TB shape for 'which keys are hot'."""
     from .ops.sketch import heavy_hitters_exact
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])

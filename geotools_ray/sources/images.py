@@ -28,8 +28,8 @@ noise. Real corpora are photographs, not white noise — uniform-noise
 payloads made lossy-codec cost ~10x the realistic case and could not
 hold 40 dB below q98.
 
-decode_image dispatches on magic bytes: real PNG, real JPEG, GPNG /
-GJPG (legacy fake payloads from old cached tables). Everything
+decode_image dispatches on magic bytes: real PNG or real JPEG; any
+other payload raises NotImplementedError naming its tag. Everything
 Ray-side (schema, batch sizing, actor signatures, PSNR gate) is
 format-agnostic.
 
@@ -41,8 +41,6 @@ reference derives raster cells from point x/y
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -120,23 +118,12 @@ def encode_image(pixels: np.ndarray, fmt: str, variant: str | None = None) -> by
 
 
 def decode_image(data: bytes) -> np.ndarray:
-    """Magic-byte dispatch: real PNG / real JPEG / GPNG / GJPG."""
+    """Magic-byte dispatch: real PNG / real JPEG."""
     if data[:8] == codecs._PNG_SIG:
         return codecs.decode_png(data)
     if data[:2] == b"\xff\xd8":
         return codecs.decode_jpeg(data)
-    tag = data[:4]
-    if tag not in (b"GPNG", b"GJPG"):
-        # tag check BEFORE the decompress: an unknown format must fail
-        # with this clear error, not zlib's "unknown compression method"
-        raise NotImplementedError(f"unknown codec tag {tag!r}")
-    w = int.from_bytes(data[4:8], "little")
-    h = int.from_bytes(data[8:12], "little")
-    raw = zlib.decompress(data[12:])
-    if tag == b"GPNG":
-        return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    q = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return (q.astype(np.uint16) * 5).clip(0, 255).astype(np.uint8)
+    raise NotImplementedError(f"unknown codec tag {data[:4]!r}")
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,14 +12,14 @@ keys.  The scalable shape used here:
 Every row of a key lands in exactly one part, so `fn` receives whole
 partitions and processes ALL of that part's groups at once with
 pandas/numpy groupby — Python dispatch happens P times, not n_keys
-times.  (Ray 2.49's repartition(keys=...) would express this directly
-but requires the HASH_SHUFFLE strategy, which spawns a 200-actor pool
-per shuffle — far slower on a single node than the default sort
-shuffle.)
+times.  Ray 2.49's repartition(keys=...) + map_batches(batch_size=None)
+would express this directly but needs the HASH_SHUFFLE strategy, and
+on a 1-CPU node (600k rows, P=16) its 16 aggregator actors held 2 CPUs
+and it had not finished in 900 s, against 1.9 s for this sort shuffle.
 
 PARTITIONING ASSUMPTION (north_rule): one part must fit in a worker's
-heap. Size P ≈ total_rows x row_width / target_part_bytes; salt
-known-hot keys upstream when a single key would blow a part.
+heap. Size P ≈ total_rows x row_width / target_part_bytes;
+salted_grouped_map salts the keys that alone exceed one part's share.
 """
 
 from __future__ import annotations
@@ -163,100 +163,54 @@ def grouped_map(
     )
 
 
-def detect_hot_key_hashes(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    threshold_frac: float = 0.01,
-    sample_frac: float = 0.05,
-    seed: int = 7,
-) -> np.ndarray:
-    """Skew probe (north_rule: 'skewed cells are salted and split'):
-    sampled per-key counts, computed DISTRIBUTED — the driver receives
-    only the keys whose sampled share exceeds threshold_frac (at most
-    1/threshold_frac of them), never the full key-count table.
-    Returns the uint64 hash_columns() values of the hot keys, ready
-    for salted_grouped_map."""
-    from ray.data.aggregate import Count, Sum
-
-    def keyhash(t: pa.Table) -> pa.Table:
-        return pa.table({"_kh": hash_columns(t, keys).view(np.int64)})
-
-    sampled = ds.random_sample(sample_frac, seed=seed)
-    counts = (
-        sampled.map_batches(keyhash, batch_format="pyarrow")
-        .groupby("_kh")
-        .aggregate(Count(alias_name="n"))
-        .materialize()
-    )
-    agg = counts.aggregate(Sum("n", alias_name="t"))
-    # ray returns None (not a row) when the sampled dataset is empty
-    total = (agg or {}).get("t") or 0
-    if not total:
-        return np.array([], dtype=np.uint64)
-    cut = threshold_frac * total
-
-    def hot_only(t: pa.Table) -> pa.Table:
-        m = t["n"].to_numpy(zero_copy_only=False) > cut
-        return t.filter(pa.array(m))
-
-    hot = counts.map_batches(hot_only, batch_format="pyarrow").to_pandas()
-    if not len(hot):
-        return np.array([], dtype=np.uint64)
-    return hot["_kh"].to_numpy().view(np.uint64)
+# Width of the skew probe's histogram. A hot key's bucket holds at
+# least the key's rows, so bucket flags are a superset of the hot keys;
+# 4096 buckets keep that superset tight while distinct keys << 4096 x P.
+N_BUCKETS = 4096
 
 
 def detect_hot_buckets(
     ds: ray.data.Dataset,
     keys: list[str],
-    threshold_frac: float = 0.01,
-    sample_frac: float = 0.05,
-    seed: int = 7,
-    n_buckets: int = 4096,
+    num_parts: int | None = None,
 ) -> tuple[int, np.ndarray]:
-    """One-PASS histogram skew probe — the cheap sibling of
-    detect_hot_key_hashes (which costs a random_sample + a keyed
-    groupby shuffle + two materialized passes, ~1-1.5 s of fixed
-    launch overhead even on a 600k-row input).
+    """The engine's skew probe: one pass over `ds`, no shuffle.
 
-    Per block: systematic 1-in-k row sampling, bincount of
-    hash_columns % n_buckets; a combine level sums ~64 block
-    histograms per task so the driver receives O(blocks/64) fixed-size
-    rows (streamed, never held).  Returns (n_buckets, hot_bucket_ids)
-    for salted_grouped_map's `hot_buckets`.
+    A key is hot when it alone holds more than one partition's fair
+    share of the exchange: count > total_rows / P, with P = num_parts
+    (default_num_parts() when None). Skew is a key's share of one
+    reducer's input, not a fixed global fraction (FP-Hadoop, VLDB 2015).
 
-    Detection is a strict SUPERSET of the per-key probe: a key holding
-    > threshold_frac of the data always lands in a bucket holding at
-    least that share (bucket count >= key count), so it is always
-    flagged; cold keys sharing a hot bucket get salted too, which is
+    Per block: bincount of hash_columns % N_BUCKETS over EVERY row
+    (the hash already touches every row, so sampling would save only
+    the bincount and would make the answer depend on block layout); a
+    combine level sums ~64 block histograms per task so the driver
+    receives O(blocks/64) fixed-size rows (streamed, never held).
+    Returns (N_BUCKETS, hot_bucket_ids).
+
+    Cold keys sharing a hot key's bucket get salted too, which is
     harmless — salting a cold key just splits an already-small group
-    (salted output is identical by contract, see test_salting.py).
-    False-positive rate stays negligible while distinct keys <<
-    n_buckets * threshold_frac * rows."""
-    k = max(1, int(round(1.0 / sample_frac)))
-    off = seed % k
-    nb = np.uint64(n_buckets)
+    (salted output is identical by contract, see test_salting.py)."""
+    P = num_parts or default_num_parts()
+    nb = np.uint64(N_BUCKETS)
 
     def hist(t: pa.Table) -> dict:
-        h = hash_columns(t, keys)[off::k]
-        counts = np.bincount(
-            (h % nb).astype(np.int64), minlength=n_buckets
-        ).astype(np.int64)
-        return {"h": counts.reshape(1, n_buckets)}
+        b = (hash_columns(t, keys) % nb).astype(np.int64)
+        counts = np.bincount(b, minlength=N_BUCKETS).astype(np.int64)
+        return {"h": counts.reshape(1, N_BUCKETS)}
 
     def combine(b: dict) -> dict:
-        return {"h": b["h"].sum(axis=0, dtype=np.int64).reshape(1, n_buckets)}
+        return {"h": b["h"].sum(axis=0, dtype=np.int64).reshape(1, N_BUCKETS)}
 
     parts = ds.map_batches(
         hist, batch_format="pyarrow", batch_size=None
     ).map_batches(combine, batch_format="numpy", batch_size=64)
-    total_h = np.zeros(n_buckets, dtype=np.int64)
+    total_h = np.zeros(N_BUCKETS, dtype=np.int64)
     for b in parts.iter_batches(batch_format="numpy", batch_size=256):
         total_h += b["h"].sum(axis=0, dtype=np.int64)
-    total = int(total_h.sum())
-    if not total:
-        return n_buckets, np.array([], dtype=np.int64)
-    cut = threshold_frac * total
-    return n_buckets, np.nonzero(total_h > cut)[0].astype(np.int64)
+    # integer form of count > total / P
+    hot = np.nonzero(total_h * P > int(total_h.sum()))[0]
+    return N_BUCKETS, hot.astype(np.int64)
 
 
 def salted_grouped_map(
@@ -265,39 +219,32 @@ def salted_grouped_map(
     partial_fn: Callable,
     merge_fn: Callable,
     *,
-    hot_hashes: np.ndarray | None,
-    hot_buckets: tuple[int, np.ndarray] | None = None,
-    salt_k: int | None = None,
     num_parts: int | None = None,
     batch_format: str = "pandas",
 ) -> ray.data.Dataset:
     """Skew-salted two-phase grouped computation (north_rule).
 
-    Rows whose key is hot get a `_salt` column cycling 0..salt_k-1, so
-    a 10^5x hot key splits across salt_k phase-1 partitions; phase 1
-    runs `partial_fn` per partition grouping by keys + ['_salt'],
-    phase 2 runs `merge_fn` per partition grouping by keys over the
-    (<= salt_k per key) partial rows.  Both fns receive whole
+    detect_hot_buckets probes `ds` at this exchange's width P. Rows of
+    a flagged bucket get a `_salt` column cycling 0..k-1 with
+    k = max(8, P // 2), so a 10^5x hot key splits across k phase-1
+    partitions; phase 1 runs `partial_fn` per partition grouping by
+    keys + ['_salt'], phase 2 runs `merge_fn` per partition grouping by
+    keys over the (<= k per key) partial rows.  Both fns receive whole
     partitions (grouped_map contract).  partial_fn must emit rows that
     merge_fn can combine into the same result the unsalted computation
     would produce (associative partials: min/first for dedup, sorted
     value chunks for exact order statistics).
 
-    Hot keys come either as exact hashes (`hot_hashes`, from
-    detect_hot_key_hashes) or as histogram buckets (`hot_buckets` =
-    (n_buckets, ids) from detect_hot_buckets — every key whose
-    hash % n_buckets is flagged gets salted, a harmless superset).
+    The probe executes `ds` once before the exchange does, so callers
+    with an expensive upstream pass a materialized dataset.
 
     With no hot keys the two fns compose in ONE grouped_map (single
-    shuffle — the common, unskewed case pays nothing extra; the
+    shuffle — the common, unskewed case pays only the probe; the
     `_salt` column the fns expect is injected inside the fused apply,
     not as a separate pass over the data)."""
-    k = salt_k or max(8, default_num_parts() // 2)
-
-    no_hot = (hot_hashes is None or len(hot_hashes) == 0) and (
-        hot_buckets is None or len(hot_buckets[1]) == 0
-    )
-    if no_hot:
+    P = num_parts or default_num_parts()
+    n_buckets, hot = detect_hot_buckets(ds, keys, num_parts=P)
+    if not len(hot):
 
         def both_pd(df: pd.DataFrame) -> pd.DataFrame:
             df["_salt"] = np.int64(0)
@@ -310,29 +257,15 @@ def salted_grouped_map(
             return merge_fn(partial_fn(t))
 
         both = both_pa if batch_format == "pyarrow" else both_pd
-        return grouped_map(
-            ds, keys, both, num_parts=num_parts, batch_format=batch_format,
-        )
+        return grouped_map(ds, keys, both, num_parts=P, batch_format=batch_format)
 
-    if hot_buckets is not None and len(hot_buckets[1]):
-        nb = np.uint64(hot_buckets[0])
-        ids = np.sort(np.asarray(hot_buckets[1], dtype=np.int64))
-
-        def _hot_mask(h: np.ndarray) -> np.ndarray:
-            b = (h % nb).astype(np.int64)
-            pos = np.minimum(np.searchsorted(ids, b), len(ids) - 1)
-            return ids[pos] == b
-
-    else:
-        hh = np.sort(np.asarray(hot_hashes, dtype=np.uint64))
-
-        def _hot_mask(h: np.ndarray) -> np.ndarray:
-            pos = np.minimum(np.searchsorted(hh, h), len(hh) - 1)
-            return hh[pos] == h
+    k = max(8, P // 2)
+    nb = np.uint64(n_buckets)
 
     def add_salt(t: pa.Table) -> pa.Table:
-        h = hash_columns(t, keys)
-        m = _hot_mask(h)
+        b = (hash_columns(t, keys) % nb).astype(np.int64)
+        pos = np.minimum(np.searchsorted(hot, b), len(hot) - 1)
+        m = hot[pos] == b
         salt = np.zeros(len(t), dtype=np.int64)
         if m.any():
             salt[m] = np.arange(int(m.sum()), dtype=np.int64) % k
@@ -340,6 +273,6 @@ def salted_grouped_map(
 
     p1 = grouped_map(
         ds.map_batches(add_salt, batch_format="pyarrow"),
-        keys + ["_salt"], partial_fn, num_parts=num_parts, batch_format=batch_format,
+        keys + ["_salt"], partial_fn, num_parts=P, batch_format=batch_format,
     )
-    return grouped_map(p1, keys, merge_fn, num_parts=num_parts, batch_format=batch_format)
+    return grouped_map(p1, keys, merge_fn, num_parts=P, batch_format=batch_format)

@@ -40,9 +40,6 @@ def footprint_cells_batch(t: pa.Table, level: int, seed: int = 42) -> pa.Table:
     )
 
 
-_GJPG_LUT = np.minimum(np.arange(256, dtype=np.uint16) * 5, 255).astype(np.uint8)
-
-
 def _binary_views(col):
     """Zero-copy memoryview per value of a (chunked) binary column —
     avoids to_pylist()'s full copy of every compressed payload."""
@@ -91,10 +88,6 @@ def decode_pixel_stacks(t: pa.Table):
             groups.setdefault((tag, h, w, ctype), []).append(
                 (i, zlib.decompress(codecs.png_idat(d)))
             )
-        elif tag in (b"GPNG", b"GJPG"):
-            w = int.from_bytes(d[4:8], "little")
-            h = int.from_bytes(d[8:12], "little")
-            groups.setdefault((tag, h, w, 2), []).append((i, zlib.decompress(d[12:])))
         elif tag[:2] == b"\xff\xd8":
             # real baseline JPEG: ALL payloads in the batch decode
             # through ONE wide entropy pass (sources/jpegwide.py,
@@ -123,30 +116,24 @@ def decode_pixel_stacks(t: pa.Table):
     for (tag, h, w, ctype), items in groups.items():
         idx = np.array([i for i, _ in items])
         raw = np.frombuffer(b"".join(r for _, r in items), dtype=np.uint8)
-        if tag == b"\x89PNG":
-            nch = 3 if ctype == 2 else 1
-            # (n, h, 1 + nch*w) filter-byte-prefixed rows; our encoder
-            # writes filter 0 everywhere -> strip the filter column.
-            # Foreign files with other filters take the per-image path.
-            rows = raw.reshape(len(items), h, 1 + nch * w)
-            if np.any(rows[:, :, 0]):
-                px = np.stack(
-                    [
-                        codecs._png_unfilter(r, h, nch * w, nch).reshape(h, w, nch)
-                        for r in rows
-                    ]
-                )
-            else:
-                px = np.ascontiguousarray(rows[:, :, 1:]).reshape(
-                    len(items), h, w, nch
-                )
-            if nch == 1:  # grayscale: replicate to the RGB feature path
-                px = np.repeat(px, 3, axis=3)
+        nch = 3 if ctype == 2 else 1
+        # (n, h, 1 + nch*w) filter-byte-prefixed rows; our encoder
+        # writes filter 0 everywhere -> strip the filter column.
+        # Foreign files with other filters take the per-image path.
+        rows = raw.reshape(len(items), h, 1 + nch * w)
+        if np.any(rows[:, :, 0]):
+            px = np.stack(
+                [
+                    codecs._png_unfilter(r, h, nch * w, nch).reshape(h, w, nch)
+                    for r in rows
+                ]
+            )
         else:
-            px = raw.reshape(len(items), h, w, 3)
-        if tag == b"GJPG":
-            # single-pass uint8 LUT == (uint16 * 5).clip(0, 255) exactly
-            px = _GJPG_LUT[px]
+            px = np.ascontiguousarray(rows[:, :, 1:]).reshape(
+                len(items), h, w, nch
+            )
+        if nch == 1:  # grayscale: replicate to the RGB feature path
+            px = np.repeat(px, 3, axis=3)
         px_groups[(tag, h, w, ctype)] = (idx, px)
     singles = []
     for i, payload in slow:

@@ -1,1 +1,1 @@
-"""Checkpoint manifests, lineage records, and per-partition metrics."""
+"""Checkpoint manifests and lineage records."""

@@ -281,10 +281,12 @@ def test_decode_features_batch_foreign_payloads():
     ]
     out = decode_features_batch(pa.Table.from_pylist(rows, schema=I.IMAGE_SCHEMA))
     assert out["verify_ok"].to_numpy(zero_copy_only=False).all()
-    # unknown tags still raise loudly (per-image dispatch, not zlib)
-    bad = [dict(rows[5], bytes=b"XXXX" + b"\x00" * 32)]
-    with pytest.raises(NotImplementedError):
-        decode_features_batch(pa.Table.from_pylist(bad, schema=I.IMAGE_SCHEMA))
+    # unknown tags still raise loudly (per-image dispatch, not zlib),
+    # the retired GJPG stand-in codec included
+    for tag in (b"XXXX", b"GJPG"):
+        bad = [dict(rows[5], bytes=tag + b"\x00" * 32)]
+        with pytest.raises(NotImplementedError, match="unknown codec tag"):
+            decode_features_batch(pa.Table.from_pylist(bad, schema=I.IMAGE_SCHEMA))
 
 
 def test_audio_stage_real_wav():

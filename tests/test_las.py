@@ -187,3 +187,19 @@ def test_quantization_property_random_tables(ray_session, tmp_path):
         for c, s in zip(("x", "y", "z"), scale):
             d = np.abs(back[c].to_numpy() - src[c].to_numpy())
             assert d.max() <= s / 2 + 1e-9, (trial, c, d.max())
+
+
+def test_oracle_quantization_rounds_ties_to_even():
+    """The las_grid oracle's SQL quantization must round .5 ties the
+    way write_las's np.round does (to even), not away from zero."""
+    import duckdb
+
+    from geotools_ray.queries_las import _quant
+
+    # v / 0.5 is an exact tie for each value: 20.5, 3.5, -2.5
+    v = np.array([10.25, 1.75, -1.25])
+    sql = f"SELECT {_quant('v', 0.5)} AS q FROM (SELECT unnest(?) AS v)"
+    got = np.array([r[0] for r in duckdb.execute(sql, [v.tolist()]).fetchall()])
+    want = np.round(v / 0.5) * 0.5
+    assert want.tolist() == [10.0, 2.0, -1.0]
+    assert got.tolist() == want.tolist()

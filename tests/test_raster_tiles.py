@@ -141,14 +141,6 @@ def test_tiles_from_cellstats_roundtrip(ray_ctx):
     np.testing.assert_allclose(g.ravel(), want)
 
 
-def test_detect_hot_keys(ray_ctx):
-    from geotools_ray.ops.raster import detect_hot_keys
-
-    skew = ray_ctx.from_items([{"k": 1 if i < 5000 else i, "v": i} for i in range(10000)])
-    hot = detect_hot_keys(skew, "k", threshold_frac=0.1, sample_frac=0.5)
-    assert 1 in hot and len(hot) == 1
-
-
 def test_flood_basins_tiles_matches_kernel(ray_session):
     """Distributed basin labeling (local labels + boundary-pair
     union-find) == the full-grid scanline kernel's (basin, area)."""

@@ -1,8 +1,8 @@
 """Skew salting (north_rule: "skewed cells are salted and split via
 explicit repartition + groupby-aggregate shuffles"): a planted
-10^5-row hot key must (a) be found by the sampled probe, (b) split
-across salt partitions so no phase-1 group holds more than ~1/salt_k
-of it, and (c) produce output IDENTICAL to the unsalted computation.
+10^5-row hot key must (a) be found by the histogram probe, (b) split
+across salt partitions so no phase-1 group holds more than ~1/8 of
+it, and (c) produce output IDENTICAL to the unsalted computation.
 """
 
 import numpy as np
@@ -27,28 +27,61 @@ def _skewed_table(seed=3):
     return pa.table({"k": k[order], "v": v[order]})
 
 
+def _bucket_of(k: int) -> int:
+    """The probe's histogram bucket of int64 key `k` in column "k"."""
+    from geotools_ray.stages.grouped import N_BUCKETS, hash_columns
+
+    key = pa.table({"k": np.array([k], dtype=np.int64)})
+    return int(hash_columns(key, ["k"])[0] % np.uint64(N_BUCKETS))
+
+
 def test_probe_finds_hot_key(ray_session):
     import ray.data
 
-    from geotools_ray.stages.grouped import detect_hot_key_hashes, hash_columns
+    from geotools_ray.stages.grouped import detect_hot_buckets
 
     ds = ray.data.from_arrow(_skewed_table())
-    hot = detect_hot_key_hashes(ds, ["k"], threshold_frac=0.05)
-    want = hash_columns(pa.table({"k": np.array([99], dtype=np.int64)}), ["k"])[0]
-    assert want in set(hot.tolist())
-    # and nothing cold is flagged (cold keys are ~0.1% of rows each)
-    assert len(hot) == 1
+    _, hot = detect_hot_buckets(ds, ["k"])
+    # the hot key's bucket, and nothing cold (~0.1% of rows per key)
+    assert hot.tolist() == [_bucket_of(99)]
+
+
+def test_probe_cut_is_one_partitions_share(ray_session):
+    """A key is hot when it holds more than 1/num_parts of the rows,
+    and the probe counts every row, so block layout cannot move it."""
+    import ray.data
+
+    from geotools_ray.stages.grouped import detect_hot_buckets
+
+    n = 20_000
+    k = np.concatenate([
+        np.full(n // 10, 1),                    # 10%
+        np.full(n // 50, 2),                    # 2%
+        np.arange(100, 100 + n - n // 10 - n // 50),  # distinct cold keys
+    ]).astype(np.int64)
+    t = pa.table({"k": np.random.RandomState(4).permutation(k)})
+    b1, b2 = _bucket_of(1), _bucket_of(2)
+
+    one_block = ray.data.from_arrow(t)
+    uneven = ray.data.from_arrow(
+        [t.slice(0, 3_001), t.slice(3_001, 9_000), t.slice(12_001)]
+    ).repartition(7)
+    _, hot = detect_hot_buckets(one_block, ["k"], num_parts=16)
+    assert hot.tolist() == [b1]  # 10% > 1/16; 2% is not
+    _, hot2 = detect_hot_buckets(uneven, ["k"], num_parts=16)
+    assert np.array_equal(hot, hot2)
+    # a wider exchange has a smaller fair share: 2% > 1/64
+    _, wide = detect_hot_buckets(one_block, ["k"], num_parts=64)
+    assert sorted(wide.tolist()) == sorted([b1, b2])
 
 
 def test_salted_grouped_map_bounds_and_identity(ray_session):
     import ray.data
 
-    from geotools_ray.stages.grouped import (
-        detect_hot_key_hashes, salted_grouped_map)
+    from geotools_ray.stages.grouped import salted_grouped_map
 
     ds = ray.data.from_arrow(_skewed_table())
-    hot = detect_hot_key_hashes(ds, ["k"], threshold_frac=0.05)
-    salt_k = 8
+    salt_k = 8  # the salt width is max(8, P // 2), so at least 8
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["k", "_salt"], sort=False)["v"]
@@ -61,7 +94,7 @@ def test_salted_grouped_map_bounds_and_identity(ray_session):
         return df.groupby("k", sort=False)[["n", "s"]].sum().reset_index()
 
     got = (
-        salted_grouped_map(ds, ["k"], partial, merge, hot_hashes=hot, salt_k=salt_k)
+        salted_grouped_map(ds, ["k"], partial, merge)
         .to_pandas().sort_values("k").reset_index(drop=True)
     )
     want = (
@@ -139,7 +172,7 @@ def test_dedup_by_phash_salted_identity(ray_session):
     import ray.data
 
     from geotools_ray.ops.imagepipeline import dedup_by_phash
-    from geotools_ray.stages.grouped import detect_hot_key_hashes
+    from geotools_ray.stages.grouped import detect_hot_buckets
 
     rng = np.random.RandomState(11)
     ph = np.concatenate(
@@ -153,32 +186,18 @@ def test_dedup_by_phash_salted_identity(ray_session):
         dedup_by_phash(ds).to_pandas()
         .sort_values(["phash", "polygon_id"]).reset_index(drop=True)
     )
-    hot = detect_hot_key_hashes(ds, ["phash", "polygon_id"], threshold_frac=0.05)
-    assert len(hot) >= 1
+    _, hot = detect_hot_buckets(ds, ["phash", "polygon_id"])
+    assert len(hot) >= 1  # the probe fires on the planted skew
+    # the flagship wiring: salt_hot=True probes, salts the planted hot
+    # keys, and the salted answer is identical to the unsalted one
     got = (
-        dedup_by_phash(ds, hot_hashes=hot).to_pandas()
+        dedup_by_phash(ds, salt_hot=True).to_pandas()
         .sort_values(["phash", "polygon_id"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(
         got[["phash", "polygon_id", "image_id"]],
         want[["phash", "polygon_id", "image_id"]],
     )
-
-    # the flagship wiring: salt_hot=True self-probes (bucket histogram,
-    # no shuffle), flags the planted hot key, and the salted answer is
-    # identical to the unsalted one
-    got2 = (
-        dedup_by_phash(ds, salt_hot=True).to_pandas()
-        .sort_values(["phash", "polygon_id"]).reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        got2[["phash", "polygon_id", "image_id"]],
-        want[["phash", "polygon_id", "image_id"]],
-    )
-    from geotools_ray.stages.grouped import detect_hot_buckets
-
-    nb, hb = detect_hot_buckets(ds, ["phash", "polygon_id"])
-    assert len(hb) >= 1  # the probe actually fired on the planted skew
 
 
 def _kurt_ref(v, unf):

@@ -102,38 +102,6 @@ def test_heavy_hitters_exact_empty_result(ray_session):
     assert res.count() == 0
 
 
-def test_mg_feeds_salted_grouped_map(ray_session):
-    """The sketch probe plugs into the salted shuffle exactly like the
-    sampled probe: planted hot key, salted vs unsalted outputs equal."""
-    import ray.data
-
-    from geotools_ray.ops.sketch import heavy_hitter_hashes
-    from geotools_ray.stages.grouped import grouped_map, salted_grouped_map
-
-    rng = np.random.RandomState(3)
-    k = np.concatenate([np.full(30_000, 5), rng.randint(100, 200, 3_000)])
-    v = rng.randint(0, 1000, len(k))
-    t = pa.table({"k": k.astype(np.int64), "v": v.astype(np.int64)})
-    ds = ray.data.from_arrow(t).repartition(8)
-    hot = heavy_hitter_hashes(ds, ["k"], threshold_frac=0.05)
-    assert len(hot) >= 1
-
-    def partial(df):
-        return df.groupby(["k", "_salt"], as_index=False)["v"].sum()
-
-    def merge(df):
-        return df.groupby("k", as_index=False)["v"].sum()
-
-    def plain(df):
-        return df.groupby("k", as_index=False)["v"].sum()
-
-    salted = salted_grouped_map(
-        ds, ["k"], partial, merge, hot_hashes=hot
-    ).to_pandas().sort_values("k").reset_index(drop=True)
-    want = grouped_map(ds, ["k"], plain).to_pandas().sort_values("k").reset_index(drop=True)
-    pd.testing.assert_frame_equal(salted[["k", "v"]], want[["k", "v"]])
-
-
 def _nearest_rank_up(x, q):
     import math
 

@@ -139,24 +139,6 @@ def test_flagship_checkpoint_refuses_different_input(ray_session, tmp_path):
         ).to_pandas()
 
 
-def test_metrics_counters(ray_session):
-    import ray.data
-
-    from geotools_ray.state.metrics import Metrics
-
-    m = Metrics()
-    ds = ray.data.range(5000)
-    ds = m.count_stage(ds, "ingest")
-    ds = ds.map_batches(lambda t: t.filter(pa.array(
-        t["id"].to_numpy(zero_copy_only=False) % 2 == 0)), batch_format="pyarrow")
-    ds = m.count_stage(ds, "after_filter")
-    assert ds.count() == 2500
-    snap = m.snapshot()
-    assert snap["ingest"]["rows"] == 5000
-    assert snap["after_filter"]["rows"] == 2500
-    assert snap["ingest"]["bytes"] > 0
-
-
 def test_manifest_crash_debris_and_empty_partitions(ray_session, tmp_path):
     """Round-3 review fixes: (a) stale/partial temp files in _manifest
     never break load_manifest; (b) partitions receiving zero rows get
