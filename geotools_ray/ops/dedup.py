@@ -1086,11 +1086,7 @@ def simhash_pairs(
 
     # exactly-once emission (first-match rule + per-bucket local dedup)
     # means the grouped candidate pass IS the final pair set.
-    # coalesce=False: exploded has exactly the reader's block count
-    # (controlled upstream), so the pre-repartition is pure overhead.
-    return grouped_map(
-        exploded, ["band", "bval"], pairs, batch_format="pyarrow", coalesce=False
-    )
+    return grouped_map(exploded, ["band", "bval"], pairs, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

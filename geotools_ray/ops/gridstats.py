@@ -273,9 +273,6 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
     # cell's bytes still meet in its phase-2 merge task — but that task
     # holds ONE cell, not a partition's worth, and every algebraic stat
     # should use the 'partial' strategy instead (skew-free by design).
-    # materialize ONCE: the probe would otherwise execute the full
-    # upstream read+filter+assign pipeline a second time
-    cells = cells.materialize()
 
     def chunk(df: pd.DataFrame) -> pd.DataFrame:
         groups = list(df.groupby(["cell_id", "_salt"], sort=False))

@@ -205,6 +205,28 @@ def decode_progressive(data: bytes) -> np.ndarray:
     )
 
 
+def _frame_marker(data: bytes) -> int:
+    """The first SOFn marker byte, found by walking the length-delimited
+    marker segments as parse_progressive does, so an FF Cx byte pair
+    inside an APPn/COM body is never taken for the frame header."""
+    if data[:2] != b"\xff\xd8":
+        raise ValueError("not a JPEG")
+    pos, n = 2, len(data)
+    while pos + 1 < n:
+        if data[pos] != 0xFF:
+            raise ValueError(f"marker expected at {pos}")
+        while pos + 1 < n and data[pos + 1] == 0xFF:
+            pos += 1
+        marker = data[pos + 1]
+        if 0xC0 <= marker <= 0xCF and marker not in (0xC4, 0xC8, 0xCC):
+            return marker
+        if marker in (0xD9, 0xDA) or pos + 4 > n:  # EOI / SOS first, or truncated
+            break
+        (ln,) = struct.unpack(">H", data[pos + 2 : pos + 4])
+        pos += 2 + ln
+    raise ValueError("no SOF marker")
+
+
 def transcode_to_baseline(data: bytes, restart_interval: int = 8) -> bytes:
     """LOSSLESS progressive -> baseline transcode (jpegtran -copy
     none semantics): the decoded quantized coefficients re-enter a
@@ -216,13 +238,9 @@ def transcode_to_baseline(data: bytes, restart_interval: int = 8) -> bytes:
     Baseline inputs pass through unchanged. restart_interval gives
     the output the restart structure the wide decoder parallelizes
     over (default 8, the bulk-table convention)."""
-    # cheap dispatch: first SOF marker decides
-    arr = np.frombuffer(data, dtype=np.uint8)
-    ff = np.flatnonzero(arr[:-1] == 0xFF)
-    sofs = ff[np.isin(arr[ff + 1], (0xC0, 0xC1, 0xC2, 0xC3))]
-    if len(sofs) == 0:
-        raise ValueError("no SOF marker")
-    if arr[sofs[0] + 1] != 0xC2:
+    # cheap dispatch: the frame header decides (SOF5-15 fall through to
+    # parse_progressive, which refuses them)
+    if _frame_marker(data) in (0xC0, 0xC1, 0xC3):
         return data  # already sequential
     m, arrays = decode_progressive_coefficients(data)
     from .codecs import _ZZ as _zz

@@ -105,7 +105,6 @@ def grouped_map(
     num_parts: int | None = None,
     drop_part: bool = True,
     batch_format: str = "pandas",
-    coalesce: bool = True,
 ) -> ray.data.Dataset:
     """One shuffle, vectorized per-partition apply.
 
@@ -114,30 +113,35 @@ def grouped_map(
     reduce/transform them vectorized (df.groupby(keys).agg / np.unique
     / pc.sort_indices).
 
-    `coalesce` first merges the input down to num_parts blocks: the
-    sort-shuffle costs a task per input block, and a 256-tiny-block
-    upstream (typical after a filtering map over a many-file read) made
-    the same shuffle 16x slower than an 8-block one (8.0 s vs 0.45 s at
-    8 cpus, 517k rows). At larger data sizes num_parts should be sized
-    so a part stays under the target block size.  When the input is
-    already MATERIALIZED with <= 2*P blocks the repartition is a pure
-    extra exchange (measured 1.3 s of the 6.2 s grid_exact wall at
-    sf0.1) and is skipped.
+    Fragmented input is coalesced first, and only fragmented input.
+    The sort shuffle costs a task per input block, so the block count
+    its exchange will see is read from the plan
+    (`initial_num_blocks()`, which walks 1:1 maps and filters back to
+    the source: a materialized input's block count, a read's task
+    count). When it is unknown or above 2*P, `repartition(P)` merges
+    the input down to P blocks first: a lazy map over 256 tiny blocks
+    (517k rows, P=16, one CPU) took 35 s uncoalesced against 4.5 s
+    coalesced. At or below 2*P the repartition is a second all-to-all
+    barrier for nothing: skipping it halved the one-CPU benchmark
+    rounds (LiDAR grid+zonal 15.2-17.2 s -> 7.3-9.0 s, flagship with
+    checkpoint 16.7-20.7 s -> 8.3-10.9 s). The plan cannot see a
+    one-file read_parquet split by override_num_blocks=N (it reports
+    1 block and emits N), so keep such N <= 2*P. At larger data sizes
+    num_parts should be sized so a part stays under the target block
+    size.
     """
     P = num_parts or default_num_parts()
 
-    if coalesce:
-        from ray.data.dataset import MaterializedDataset
-
-        if isinstance(ds, MaterializedDataset) and ds.num_blocks() <= 2 * P:
-            coalesce = False
+    # A groupby().map_groups() output (this function's own, say)
+    # reports its input's block count here, not P; the sort shuffle
+    # does emit one block per input block, so the count holds.
+    n_blocks = ds._plan.initial_num_blocks()
+    if n_blocks is None or n_blocks > 2 * P:
+        ds = ds.repartition(P)
 
     def add_part(t: pa.Table) -> pa.Table:
         part = (hash_columns(t, keys) % np.uint64(P)).astype(np.int64)
         return t.append_column("_part", pa.array(part))
-
-    if coalesce:
-        ds = ds.repartition(P)
 
     if batch_format == "pyarrow":
 
@@ -235,14 +239,16 @@ def salted_grouped_map(
     would produce (associative partials: min/first for dedup, sorted
     value chunks for exact order statistics).
 
-    The probe executes `ds` once before the exchange does, so callers
-    with an expensive upstream pass a materialized dataset.
+    `ds` is materialized once, so the probe and the exchange share its
+    blocks (the upstream runs once) and grouped_map sees an exact
+    block count.
 
     With no hot keys the two fns compose in ONE grouped_map (single
     shuffle — the common, unskewed case pays only the probe; the
     `_salt` column the fns expect is injected inside the fused apply,
     not as a separate pass over the data)."""
     P = num_parts or default_num_parts()
+    ds = ds.materialize()
     n_buckets, hot = detect_hot_buckets(ds, keys, num_parts=P)
     if not len(hot):
 

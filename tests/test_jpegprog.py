@@ -132,6 +132,32 @@ def test_transcode_lossless_and_wide_decodable(samp):
     assert P.transcode_to_baseline(base) == base
 
 
+def _with_segment(jpeg: bytes, marker: int, body: bytes) -> bytes:
+    """`jpeg` with one extra marker segment right after SOI."""
+    seg = bytes([0xFF, marker]) + (len(body) + 2).to_bytes(2, "big") + body
+    return jpeg[:2] + seg + jpeg[2:]
+
+
+def test_transcode_baseline_with_sof2_bytes_in_body_passes_through():
+    """FF C2 inside an APPn or COM body is payload, not a frame header:
+    a baseline JPEG carrying it is returned unchanged."""
+    base = C.encode_jpeg(_photo(40, 24, seed=5), 90)
+    for marker in (0xE1, 0xFE):  # APP1, COM
+        tagged = _with_segment(base, marker, b"tag\xff\xc2\x00\x11end")
+        assert P.transcode_to_baseline(tagged) == tagged
+
+
+def test_transcode_progressive_with_sof0_bytes_in_com_is_transcoded():
+    """FF C0 inside a COM body does not make a progressive JPEG look
+    sequential: it is still transcoded, losslessly."""
+    prog = _with_segment(
+        P.encode_progressive(_photo(40, 24, seed=6), 90), 0xFE, b"x\xff\xc0y"
+    )
+    tc = P.transcode_to_baseline(prog)
+    assert tc != prog
+    assert np.array_equal(C.decode_jpeg(tc), P.decode_progressive(prog))
+
+
 def test_transcode_batch_preserves_phash():
     """The normalization stage keeps every row's stored phash valid
     (losslessness is what makes transcode-on-ingest legitimate)."""
