@@ -5,15 +5,14 @@ src/lasgrid.cpp:153-487):
     read -> map_batches(filter + cell assign [+ radius window])
          -> per-cell aggregate -> (optional) tile assembly
 
-Two execution strategies:
-  - "partial": per-batch partial aggregation (one row per cell per
-    batch: n/sum/sumsq/min/max) followed by a small groupby over the
-    partials.  Scales to arbitrarily skewed cells — the shuffle moves
-    O(#cells x #blocks) rows, not O(#points). Algebraic stats only.
-  - "exact": shuffle raw per-cell values and run the reference's exact
-    kernels per group (median / quantiles / skew / kurtosis / gap
-    fractions need the full value list).  This is what the golden
-    tests compare bit-for-bit.
+Two strategies, each reducing in numpy inside grouped_map partitions:
+  - "partial": per-batch partials (one row per cell per batch:
+    n/sum/sumsq/min/max) combined with np.bincount.  Skew-proof: the
+    shuffle moves O(#cells x #blocks) rows. Algebraic stats only.
+  - "exact": raw values shuffle; one stable sort cuts a partition into
+    per-cell runs (_runs) for the reference's exact kernels (median /
+    quantiles / skew / kurtosis need the full value list).  This is
+    what the golden tests compare bit-for-bit.
 "auto" picks "partial" when every requested stat is algebraic.
 
 Statefulness: none — bounds are computed by a tiny min/max aggregate
@@ -28,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Min
 
 from ..kernels import stats as K
 from ..kernels.grid import Bounds, cell_centroids, cell_id_of_points, radius_cells_of_points
@@ -144,21 +144,48 @@ def assign_cells(points: ray.data.Dataset, cfg: GridConfig, b: Bounds,
     return points.map_batches(fn, batch_format="pyarrow")
 
 
+def _col(t: pa.Table, name: str) -> np.ndarray:
+    return t[name].to_numpy(zero_copy_only=False)
+
+
+def _cell_sums(cell_id, n, s, ss, mn, mx) -> dict:
+    """One row per distinct cell: n / s / ss summed in row order, mn /
+    mx the least / greatest."""
+    uniq, inv = np.unique(cell_id, return_inverse=True)
+    lo, hi = np.full(len(uniq), np.inf), np.full(len(uniq), -np.inf)
+    np.minimum.at(lo, inv, mn)
+    np.maximum.at(hi, inv, mx)
+    n, s, ss = (np.bincount(inv, weights=w, minlength=len(uniq)) for w in (n, s, ss))
+    return {"cell_id": uniq, "n": n, "s": s, "ss": ss, "mn": lo, "mx": hi}
+
+
 def _partial_agg(t: pa.Table) -> pa.Table:
     """Per-batch combiner: one row per cell with n/sum/sumsq/min/max."""
-    cid = t["cell_id"].to_numpy(zero_copy_only=False)
-    v = t["v"].to_numpy(zero_copy_only=False).astype(np.float64)
-    uniq, inv = np.unique(cid, return_inverse=True)
-    n = np.bincount(inv)
-    s = np.bincount(inv, weights=v)
-    ss = np.bincount(inv, weights=v * v)
-    mn = np.full(len(uniq), np.inf)
-    np.minimum.at(mn, inv, v)
-    mx = np.full(len(uniq), -np.inf)
-    np.maximum.at(mx, inv, v)
-    return pa.table(
-        {"cell_id": uniq, "pn": n.astype(np.int64), "ps": s, "pss": ss, "pmn": mn, "pmx": mx}
-    )
+    v = _col(t, "v").astype(np.float64)
+    return pa.table(_cell_sums(_col(t, "cell_id"), np.ones(len(v)), v, v * v, v, v))
+
+
+def _runs(t: pa.Table, keys: list[str]):
+    """Rows of `t` stably sorted by `keys` (np.lexsort; over one key it
+    is the stable argsort) and cut where any key changes -> (each run's
+    keys, value offsets, float64 "v" values, run lengths): run i's
+    values are values[off[i]:off[i+1]], in row order. With a "keep"
+    column the values hold only the kept rows, so a run's value slice
+    may be empty while its length counts every row."""
+    ks = [_col(t, k) for k in keys]
+    order = np.lexsort(ks[::-1])
+    ks = [k[order] for k in ks]
+    new = np.zeros(len(order), dtype=bool)  # row starts a run
+    new[:1] = True
+    for k in ks:
+        new[1:] |= k[1:] != k[:-1]
+    heads = np.flatnonzero(new)
+    bounds = off = np.append(heads, len(order))
+    vs = np.asarray(_col(t, "v"), dtype=np.float64)[order]
+    if "keep" in t.column_names:
+        kept = _col(t, "keep")[order].astype(bool)
+        off, vs = np.append(0, np.cumsum(kept))[bounds], vs[kept]
+    return [k[heads] for k in ks], off, vs, np.diff(bounds)
 
 
 def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
@@ -171,37 +198,26 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
     # kurtosis + class filter: the reference divides by the UNFILTERED
     # per-cell count (cellstats.hpp:356) — carry the dropped rows as a
     # keep flag so the exact kernels can see both counts
-    quirk = (
-        strategy == "exact"
-        and "kurtosis" in cfg.stats
-        and cfg.class_filter is not None
-    )
+    quirk = strategy == "exact" and "kurtosis" in cfg.stats and cfg.class_filter is not None
     cells = assign_cells(points, cfg, b, defer_class=quirk)
     cell_area = cfg.res * cfg.res
 
-    if strategy == "partial":
-        partials = cells.map_batches(_partial_agg, batch_format="pyarrow")
-        agg = partials.groupby("cell_id").aggregate(
-            Sum("pn", alias_name="n"),
-            Sum("ps", alias_name="s"),
-            Sum("pss", alias_name="ss"),
-            Min("pmn", alias_name="mn"),
-            Max("pmx", alias_name="mx"),
-        )
+    from ..stages.grouped import grouped_map, salted_grouped_map
 
-        def finalize(t: pa.Table) -> pa.Table:
-            n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-            s = t["s"].to_numpy(zero_copy_only=False)
-            ss = t["ss"].to_numpy(zero_copy_only=False)
-            out = {"cell_id": t["cell_id"].to_numpy(zero_copy_only=False)}
+    if strategy == "partial":
+
+        def combine(t: pa.Table) -> pa.Table:
+            p = _cell_sums(*(_col(t, c) for c in ("cell_id", "n", "s", "ss", "mn", "mx")))
+            n, s, ss = p["n"], p["s"], p["ss"]
+            out = {"cell_id": p["cell_id"]}
             mean = s / n
             for st in cfg.stats:
                 if st == "count":
                     out["count"] = n
                 elif st == "min":
-                    out["min"] = t["mn"].to_numpy(zero_copy_only=False)
+                    out["min"] = p["mn"]
                 elif st == "max":
-                    out["max"] = t["mx"].to_numpy(zero_copy_only=False)
+                    out["max"] = p["mx"]
                 elif st == "mean":
                     out["mean"] = mean
                 elif st == "density":
@@ -214,15 +230,15 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
                     out[st] = np.sqrt(var) if st.endswith("stddev") else var
             return pa.table(out)
 
-        return agg.map_batches(finalize, batch_format="pyarrow")
+        partials = cells.map_batches(_partial_agg, batch_format="pyarrow")
+        return grouped_map(partials, ["cell_id"], combine, batch_format="pyarrow")
 
     # exact path: raw values per cell through ONE hash-partitioned
-    # shuffle (grouped_map); the per-cell kernel loop runs inside each
-    # partition — Python dispatch per partition, not per key
+    # shuffle (grouped_map); each partition is cut into per-cell runs by
+    # one stable sort (_runs) and the kernel loop runs per cell —
+    # Python dispatch per partition and per cell, no per-group frames
     stats = cfg.stats
     qn = cfg.quantiles
-
-    from ..stages.grouped import grouped_map, salted_grouped_map
 
     def _finalize_rows(cids, values, unf=None) -> pd.DataFrame:
         rows: dict[str, list] = {"cell_id": []}
@@ -243,26 +259,22 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
                     rows[st].append(K.STAT_KERNELS[st](v))
         return pd.DataFrame(rows)
 
+    def finish(cids, off, vals, unf, sort: bool) -> pd.DataFrame:
+        runs = [vals[i:j] for i, j in zip(off[:-1], off[1:])]
+        if sort:
+            runs = [np.sort(r) for r in runs]
+        if not quirk:
+            return _finalize_rows(cids, runs)
+        has = np.diff(off) > 0  # no filtered points: cell absent (nodata)
+        return _finalize_rows(cids[has], [r for r, h in zip(runs, has) if h], unf[has])
+
     if not cfg.salt_hot:
 
-        def per_part(df: pd.DataFrame) -> pd.DataFrame:
-            groups = list(df.groupby("cell_id", sort=False))
-            if not quirk:
-                return _finalize_rows(
-                    [cid for cid, _ in groups],
-                    [g["v"].to_numpy(dtype=np.float64) for _, g in groups],
-                )
-            cids, vals, unf = [], [], []
-            for cid, g in groups:
-                k = g["keep"].to_numpy().astype(bool)
-                if not k.any():
-                    continue  # no filtered points: cell absent (nodata)
-                cids.append(cid)
-                vals.append(g["v"].to_numpy(dtype=np.float64)[k])
-                unf.append(len(g))
-            return _finalize_rows(cids, vals, unf)
+        def per_part(t: pa.Table) -> pd.DataFrame:
+            (cids,), off, vals, n = _runs(t, ["cell_id"])
+            return finish(cids, off, vals, n, sort=False)
 
-        return grouped_map(cells, ["cell_id"], per_part)
+        return grouped_map(cells, ["cell_id"], per_part, batch_format="pyarrow")
 
     # skew-salted exact path (north_rule: hot cells are salted and
     # split): salted_grouped_map flags cells holding more than one
@@ -274,41 +286,26 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
     # holds ONE cell, not a partition's worth, and every algebraic stat
     # should use the 'partial' strategy instead (skew-free by design).
 
-    def chunk(df: pd.DataFrame) -> pd.DataFrame:
-        groups = list(df.groupby(["cell_id", "_salt"], sort=False))
-        cids = [cid for (cid, _s), _ in groups]
-        if not quirk:
-            return pd.DataFrame(
-                {
-                    "cell_id": cids,
-                    # no per-chunk sort: merge() re-sorts the full
-                    # concatenation anyway, so phase-1 ordering is wasted
-                    "vals": [g["v"].to_numpy(dtype=np.float64) for _, g in groups],
-                    "unf": np.zeros(len(cids), dtype=np.int64),
-                }
-            )
-        vals, unf = [], []
-        for _, g in groups:
-            k = g["keep"].to_numpy().astype(bool)
-            vals.append(g["v"].to_numpy(dtype=np.float64)[k])
-            unf.append(len(g))
-        return pd.DataFrame({"cell_id": cids, "vals": vals, "unf": unf})
+    def chunk(t: pa.Table) -> pa.Table:
+        # one list<double> row per (cell, salt) run, unsorted (merge
+        # sorts); int64 offsets, so a partition may pass 2^31 values
+        (cids, _), off, vals, n = _runs(t, ["cell_id", "_salt"])
+        runs = pa.LargeListArray.from_arrays(pa.array(off, pa.int64()), pa.array(vals))
+        return pa.table({"cell_id": cids, "vals": runs, "unf": n})
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        groups = list(df.groupby("cell_id", sort=False))
-        cids, vals, unf = [], [], []
-        for cid, g in groups:
-            v = np.sort(
-                np.concatenate([np.asarray(a, dtype=np.float64) for a in g["vals"]])
-            )
-            if quirk and not len(v):
-                continue  # no filtered points: cell absent (nodata)
-            cids.append(cid)
-            vals.append(v)
-            unf.append(int(g["unf"].sum()))
-        return _finalize_rows(cids, vals, unf if quirk else None)
+    def merge(t: pa.Table) -> pd.DataFrame:
+        lens = pc.list_value_length(t["vals"]).to_numpy(zero_copy_only=False)
+        flat = pa.table({"cell_id": np.repeat(_col(t, "cell_id"), lens),
+                         "v": pc.list_flatten(t["vals"])})
+        (cids,), off, vals, _ = _runs(flat, ["cell_id"])
+        unf = None
+        if quirk:  # per-cell sum of the phase-1 unfiltered counts
+            uniq, inv = np.unique(_col(t, "cell_id"), return_inverse=True)
+            tot = np.bincount(inv, weights=_col(t, "unf"))
+            unf = tot[np.searchsorted(uniq, cids)].astype(np.int64)
+        return finish(cids, off, vals, unf, sort=True)
 
-    return salted_grouped_map(cells, ["cell_id"], chunk, merge)
+    return salted_grouped_map(cells, ["cell_id"], chunk, merge, batch_format="pyarrow")
 
 
 def add_cell_coords(stats_ds: ray.data.Dataset, b: Bounds, res: float) -> ray.data.Dataset:

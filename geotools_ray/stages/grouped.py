@@ -236,8 +236,8 @@ def salted_grouped_map(
     keys over the (<= k per key) partial rows.  Both fns receive whole
     partitions (grouped_map contract).  partial_fn must emit rows that
     merge_fn can combine into the same result the unsalted computation
-    would produce (associative partials: min/first for dedup, sorted
-    value chunks for exact order statistics).
+    would produce (associative partials: min/first for dedup; exact
+    order statistics carry each (key, salt) run as a list<double> row).
 
     `ds` is materialized once, so the probe and the exchange share its
     blocks (the upstream runs once) and grouped_map sees an exact

@@ -108,3 +108,23 @@ def test_both_routes_give_the_same_rows(ray_session):
             assert np.array_equal(got["k"], want["k"])
             assert np.array_equal(got["count"], want["count"])
             assert np.allclose(got["sum"], want["sum"])
+
+
+def test_one_file_split_read_reports_one_block(ray_session, tmp_path):
+    """Pins a known blind spot of the plan-side count (Ray 2.49): a
+    one-file read_parquet split by override_num_blocks=32 reports 1
+    block but emits 32, so grouped_map at P=16 does not coalesce it.
+    A Ray upgrade that changes either number fails here."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from geotools_ray.stages.grouped import grouped_map
+
+    path = str(tmp_path / "one.parquet")
+    pq.write_table(_table(), path)
+    ds = ray.data.read_parquet(path, override_num_blocks=32)
+    assert ds._plan.initial_num_blocks() == 1
+    assert ds.materialize().num_blocks() == 32
+    out = grouped_map(ds, ["k"], _count_sum(), num_parts=P)
+    assert _ops(out) == 0
+    assert out.to_pandas()["count"].sum() == 40_000
