@@ -45,7 +45,7 @@ def _image_queries() -> dict[str, Callable[[str], Any]]:
 
     from geotools_ray.ops import imagepipeline as IP
     from geotools_ray.sources import images as I
-    from geotools_ray.stages.imaging import DecodeStage
+    from geotools_ray.stages.imaging import decode_features_batch
 
     def _parallel_gen(n: int, rows_fn):
         """Generate a fixture table in parallel Ray tasks: each row's
@@ -155,17 +155,17 @@ def _image_queries() -> dict[str, Callable[[str], Any]]:
 
     def img_decode_features(sf_dir: str):
         ds = _table(sf_dir)
-        out = ds.map_batches(DecodeStage, batch_format="pyarrow", batch_size=512, concurrency=2)
+        out = ds.map_batches(decode_features_batch, batch_format="pyarrow", batch_size=512)
         return out.select_columns(["image_id", "w", "h", "fmt", "mean_r", "mean_g", "mean_b"])
 
     def img_resize(sf_dir: str):
         # bilinear thumbnailing -> a VALID image table (phash
         # recomputed per the table convention) -> decode+verify over
         # the output proves it end-to-end. STATELESS fns here so Ray
-        # fuses resize+verify into the read tasks (the actor-pool form,
+        # fuses resize+verify into one map operator (the actor-pool form,
         # ResizeStage with concurrency=N, is pytest-exercised — resize
         # has no per-actor setup worth a pool on this table)
-        from geotools_ray.stages.imaging import ResizeStage, decode_features_batch
+        from geotools_ray.stages.imaging import ResizeStage
 
         # the cached fixture is ONE arrow block: split it so the
         # resize+verify tasks actually parallelize
@@ -214,8 +214,7 @@ def _image_queries() -> dict[str, Callable[[str], Any]]:
         # corpus normalization: progressive rows -> baseline LOSSLESSLY
         # (same coefficients), then the standard decode+verify proves
         # every row still matches its stored phash on the wide path
-        from geotools_ray.stages.imaging import (decode_features_batch,
-                                                 transcode_batch)
+        from geotools_ray.stages.imaging import transcode_batch
 
         ds = _table(sf_dir).repartition(8)
         normalized = ds.map_batches(

@@ -234,7 +234,7 @@ def cmd_flagship(args):
     if getattr(args, "transcode", False):
         # corpus normalization on ingest: progressive jpeg rows become
         # baseline LOSSLESSLY so this and every later pass decode on
-        # the wide batch path (stateless -> fuses into the read tasks)
+        # the wide batch path (stateless -> fuses with the decode map)
         from .stages.imaging import transcode_batch
 
         images = images.map_batches(

@@ -41,6 +41,38 @@ def polygon_cell_prefilter(polys: list[Polygon], level: int) -> dict[int, np.nda
     return {p.polygon_id: np.sort(ci.cover_polygon([list(r) for r in p.rings], level)) for p in polys}
 
 
+def polygon_matcher(
+    polygons: list[Polygon] | None = None,
+    level: int = DEFAULT_LEVEL,
+    seed: int = 42,
+):
+    """-> match(t) -> (cell_id per row, row index, polygon_id), one
+    (row, polygon) pair per footprint a polygon contains: the cell-id
+    prefilter (np.isin against each polygon's cell cover), then exact
+    PIP on the candidates. Needs only t's image_id column — the
+    footprint derives from it — so it can run before any decode."""
+    polygons = polygons or FLAGSHIP_POLYGONS
+    bc = ray.put((polygons, polygon_cell_prefilter(polygons, level)))
+
+    def match(t: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        polys, prefilter = ray.get(bc)
+        f = footprint_cells_batch(t.select(["image_id"]), level, seed)
+        lon = f["lon"].to_numpy(zero_copy_only=False)
+        lat = f["lat"].to_numpy(zero_copy_only=False)
+        cell = f["cell_id"].to_numpy(zero_copy_only=False)
+        out_i, out_p = [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)]
+        for p in polys:
+            sub = np.flatnonzero(np.isin(cell, prefilter[p.polygon_id]))
+            if not len(sub):
+                continue
+            sel = sub[points_in_polygon(lon[sub], lat[sub], [list(r) for r in p.rings])]
+            out_i.append(sel)
+            out_p.append(np.full(len(sel), p.polygon_id, dtype=np.int64))
+        return cell, np.concatenate(out_i), np.concatenate(out_p)
+
+    return match
+
+
 def assign_and_join(
     images: ray.data.Dataset,
     polygons: list[Polygon] | None = None,
@@ -48,34 +80,12 @@ def assign_and_join(
     seed: int = 42,
 ) -> ray.data.Dataset:
     """-> (image_id, phash, cell_id, polygon_id) one row per match."""
-    polygons = polygons or FLAGSHIP_POLYGONS
-    pre = polygon_cell_prefilter(polygons, level)
-    bc = ray.put((polygons, pre))
+    match = polygon_matcher(polygons, level, seed)
 
     def fn(t: pa.Table) -> pa.Table:
-        polys, prefilter = ray.get(bc)
-        t = footprint_cells_batch(t, level, seed)
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        lat = t["lat"].to_numpy(zero_copy_only=False)
-        cell = t["cell_id"].to_numpy(zero_copy_only=False)
+        cell, pi, pid = match(t)
         ids = t["image_id"].to_numpy(zero_copy_only=False)
         ph = t["phash"].to_numpy(zero_copy_only=False)
-        out_i, out_p = [], []
-        for p in polys:
-            cand = np.isin(cell, prefilter[p.polygon_id], assume_unique=False)
-            if not cand.any():
-                continue
-            sub = np.nonzero(cand)[0]
-            hit = points_in_polygon(lon[sub], lat[sub], [list(r) for r in p.rings])
-            sel = sub[hit]
-            out_i.append(sel)
-            out_p.append(np.full(len(sel), p.polygon_id, dtype=np.int64))
-        if out_i:
-            pi = np.concatenate(out_i)
-            pid = np.concatenate(out_p)
-        else:
-            pi = np.array([], dtype=np.int64)
-            pid = np.array([], dtype=np.int64)
         # explicit types: a zero-match batch must emit string/int64
         # blocks, not null-typed ones (schema-unstable blocks break the
         # downstream union/shuffle — the zip_tiles bug class)
@@ -271,7 +281,6 @@ def checkpoint_join(
 def flagship_full(
     images: ray.data.Dataset,
     level: int = DEFAULT_LEVEL,
-    decode_concurrency: int | tuple | None = None,
     # 2048: the v5 mixed-layout corpus fragments each batch into ~12
     # (size x sampling) decode groups, and the bigger batch restores
     # their amortization — equal at best epochs, ~10% better at
@@ -282,14 +291,22 @@ def flagship_full(
     checkpoint_parts: int = 32,
 ) -> ray.data.Dataset:
     """The end-to-end metric pipeline (BASELINE.md headline):
-    decode + verify (phash recompute, the per-row input_hint
-    invariant) -> footprint/cell tile assignment -> cell-prefiltered
-    PIP join -> phash dedup -> parent-cell rollup.
+    polygon match on image_id (the footprint derives from the id, so
+    rows no polygon contains are dropped before any pixel is touched)
+    -> decode + verify of the matched rows (phash recompute, the
+    per-row input_hint invariant) -> footprint/cell tile assignment
+    -> cell-prefiltered PIP join -> phash dedup -> parent-cell rollup.
 
-    The decode fn is STATELESS so Ray fuses it into the read task —
-    pixel bytes never cross the object store; only the narrow
-    (image_id, phash) projection flows on. Pass decode_concurrency to
-    run it as an actor pool instead (model-style decoders).
+    The plan, from Dataset.stats() over a 16,384-image v5 table on a
+    one-CPU node: ReadParquet->SplitBlocks(11) runs as its own
+    operator (4 tasks, 44 blocks, 43 MB), so the payload bytes DO
+    cross the object store once. keep_matched, the decode, the verify
+    gate and the join then fuse into ONE operator of 8 tasks (one per
+    ~2,048 input rows; ~860 matched rows decode in each) whose output
+    is only the narrow join (8,176 rows, 0.35 MB). Re-bundling the
+    matched rows into full 2,048-row decode batches (an unfused
+    filter operator ahead of the decode) measured within noise of
+    this plan, so the filter stays fused.
 
     With `checkpoint_dir` the join output is checkpointed through the
     resumable manifest store (state/manifest): hash-partitioned by
@@ -297,13 +314,12 @@ def flagship_full(
     with a lineage record. On rerun, the completed-partition anti-join
     runs on the RAW input table (partition key = hash(image_id), known
     before any compute), so the decode+join of completed partitions is
-    genuinely never repaid — a downstream filter could not skip the
-    upstream fused decode. read_partitioned then returns old + new
+    genuinely never repaid. read_partitioned then returns old + new
     partitions together. At design scale this is the restart boundary
     between the embarrassingly-parallel front half and the shuffle
     back half."""
     from ..stages.grouped import hash_columns
-    from ..stages.imaging import DecodeStage, decode_features_batch
+    from ..stages.imaging import decode_features_batch
     from ..state.manifest import load_manifest
 
     input_token = None
@@ -342,6 +358,16 @@ def flagship_full(
 
             images = images.map_batches(prefilter, batch_format="pyarrow")
 
+    match = polygon_matcher(level=level)
+
+    def keep_matched(t: pa.Table) -> pa.Table:
+        # a row no polygon contains would be dropped by the join anyway:
+        # drop it before its decode, so verify runs on exactly the rows
+        # that can reach the output
+        keep = np.zeros(len(t), dtype=bool)
+        keep[match(t)[1]] = True
+        return t.filter(pa.array(keep))
+
     def enforce_verify(t: pa.Table) -> pa.Table:
         # the input_hint invariant is a GATE, not a report: rows whose
         # recomputed perceptual hash mismatches the stored phash
@@ -360,18 +386,11 @@ def flagship_full(
             t = t.filter(pa.array(ok))
         return t.select(["image_id", "phash"])
 
-    if decode_concurrency is None:
-        decoded = images.map_batches(
-            decode_features_batch, batch_format="pyarrow", batch_size=decode_batch_size
-        ).map_batches(enforce_verify, batch_format="pyarrow")
-    else:
-        decoded = images.map_batches(
-            DecodeStage,
-            batch_format="pyarrow",
-            batch_size=decode_batch_size,
-            concurrency=decode_concurrency,
-            num_cpus=1,
-        ).map_batches(enforce_verify, batch_format="pyarrow")
+    decoded = (
+        images.map_batches(keep_matched, batch_format="pyarrow")
+        .map_batches(decode_features_batch, batch_format="pyarrow", batch_size=decode_batch_size)
+        .map_batches(enforce_verify, batch_format="pyarrow")
+    )
     joined = assign_and_join(decoded, level=level)
     # checkpoint the NARROW join output before the shuffle stages: the
     # streaming executor schedules an AllToAll chained directly after

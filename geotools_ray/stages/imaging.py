@@ -1,16 +1,9 @@
 """Image-side stages: footprint/cell encoding and decode/verify.
 
-Decode shapes (M11/ST7):
-
-- `decode_features_batch` — a STATELESS batch fn. Ray fuses it into
-  the read task, so the wide `bytes` column never crosses the object
-  store: read -> decode -> drop pixels happens inside one task. This
-  is the default for codec-style decodes whose setup cost is nil.
-- `DecodeStage` — the actor-pool form of the same work, for stages
-  whose per-actor setup is expensive (model weights, GPU context).
-  Size `concurrency` WELL BELOW the CPU count: a pool reserving every
-  CPU starves the read stage and the pipeline serializes (measured:
-  concurrency=30 of 32 cpus was 2.3x slower than 24).
+Decode (M11/ST7): `decode_features_batch` is a STATELESS batch fn that
+Ray fuses with its neighbouring maps, but not into a split file read:
+payload bytes cross the object store once, read -> decode task, and
+the decode drops them (measured plan: ops/imagepipeline.flagship_full).
 
 Per-row invariant (input_hint): the decoded pixels' perceptual hash
 must equal the stored `phash` column — `verify_ok` carries the check.
@@ -217,19 +210,6 @@ def decode_features_batch(t: pa.Table) -> pa.Table:
     return out
 
 
-class DecodeStage:
-    """Actor-pool wrapper around decode_features_batch (see module
-    docstring for when to prefer it over the fused stateless fn).
-    The verify gate is phash equality (verify_ok); PSNR-vs-source is a
-    test-side invariant (the source pixels only exist there)."""
-
-    def __init__(self):
-        self._fn = decode_features_batch  # codec table bound once per actor
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return self._fn(t)
-
-
 def codec_roundtrip_batch(t: pa.Table) -> pa.Table:
     """REAL-codec interchange check: decode each stored image, re-encode
     with the spec-compliant PNG and baseline-JPEG codecs
@@ -277,8 +257,8 @@ def transcode_batch(t: pa.Table) -> pa.Table:
     phash column stays valid), so every downstream pass decodes on
     the wide SIMD batch path instead of the scalar Annex G fallback.
     Baseline JPEG / PNG / other rows pass through untouched. A 100 TB
-    ingest runs this once; it is STATELESS, so Ray fuses it into the
-    read tasks."""
+    ingest runs this once; it is STATELESS, so Ray fuses it with the
+    neighbouring maps."""
     from ..sources.jpegprog import transcode_to_baseline
 
     out: list[bytes] = []

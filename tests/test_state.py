@@ -190,24 +190,109 @@ def test_manifest_crash_debris_and_empty_partitions(ray_session, tmp_path):
         write_partitioned(ray.data.from_items(rows), out, key4, num_parts=8)
 
 
-def test_flagship_verify_gate_drops_corrupt_rows(ray_session, tmp_path):
-    """A row whose stored phash mismatches its decoded pixels must be
-    dropped by flagship_full (the input_hint invariant is a gate)."""
-    import pyarrow.parquet as pq
-    import ray.data
+def _contained(t: pa.Table) -> np.ndarray:
+    """Rows whose footprint some flagship polygon contains: a straight
+    PIP against every polygon, no cell prefilter."""
+    from geotools_ray.kernels.geom import points_in_polygon
+    from geotools_ray.ops.imagepipeline import FLAGSHIP_POLYGONS
+    from geotools_ray.sources.images import footprint_lonlat
 
-    from geotools_ray.ops.imagepipeline import flagship_full
+    lon, lat = footprint_lonlat(t["image_id"])
+    return np.logical_or.reduce(
+        [points_in_polygon(lon, lat, [list(r) for r in p.rings]) for p in FLAGSHIP_POLYGONS]
+    )
+
+
+def _corrupt_phash(t: pa.Table, rows) -> pa.Table:
+    ph = t["phash"].to_numpy(zero_copy_only=False).copy()
+    ph[list(rows)] ^= 0x5A5A5A5A
+    return t.set_column(t.schema.get_field_index("phash"), "phash", pa.array(ph))
+
+
+def _gate_fixture():
+    """-> (400-row image table, contained-row mask, a contained row no
+    other row shares a phash with (dedup never drops it), a row no
+    polygon contains)."""
     from geotools_ray.sources.images import generate_image_table
 
     t = generate_image_table(400, seed=11)
-    full = flagship_full(ray.data.from_arrow(t)).to_pandas()
-    # corrupt one image's stored phash -> its decode verify fails
-    ph = t["phash"].to_numpy(zero_copy_only=False).copy()
-    ph[0] ^= 0x5A5A5A5A
-    bad = t.set_column(t.schema.get_field_index("phash"), "phash", pa.array(ph))
-    out = flagship_full(ray.data.from_arrow(bad)).to_pandas()
-    assert out["n_images"].sum() <= full["n_images"].sum()
-    assert out["n_images"].sum() >= full["n_images"].sum() - 1
+    inside = _contained(t)
+    ph = t["phash"].to_numpy(zero_copy_only=False)
+    vals, counts = np.unique(ph, return_counts=True)
+    hit = int(np.flatnonzero(inside & np.isin(ph, vals[counts == 1]))[0])
+    return t, inside, hit, int(np.flatnonzero(~inside)[0])
+
+
+def _canon(ds):
+    df = ds.to_pandas()
+    return df.sort_values(["polygon_id", "parent_cell"]).reset_index(drop=True)
+
+
+def test_flagship_verify_gate_drops_corrupt_rows(ray_session):
+    """A row a polygon contains whose stored phash mismatches its
+    decoded pixels is dropped by flagship_full (the input_hint
+    invariant is a gate): the output equals the run over the table
+    without that row. A corrupt row no polygon contains changes
+    nothing."""
+    import pandas as pd
+    import ray.data
+
+    from geotools_ray.ops.imagepipeline import flagship_full
+
+    def run(tb):
+        return _canon(flagship_full(ray.data.from_arrow(tb)))
+
+    t, _, hit, miss = _gate_fixture()
+    full = run(t)
+    without = run(t.filter(pa.array(np.arange(len(t)) != hit)))
+    assert not without.equals(full)  # the row counts in the output
+    pd.testing.assert_frame_equal(run(_corrupt_phash(t, [hit])), without)
+    pd.testing.assert_frame_equal(run(_corrupt_phash(t, [miss])), full)
+
+
+def test_flagship_matches_decode_everything_composition(ray_session):
+    """flagship_full runs the polygon match before decode + verify. Its
+    output equals the public stages composed to decode EVERY row
+    (decode_features_batch -> verify filter -> assign_and_join ->
+    dedup_by_phash -> cell_rollup), over PNG, baseline and progressive
+    JPEG rows and corrupt-phash rows on both sides of the polygons.
+    A row no polygon contains is never decoded, so a payload there
+    that decode_image refuses (an unknown codec tag) fails nothing."""
+    import pandas as pd
+    import ray.data
+
+    from geotools_ray.ops import imagepipeline as IP
+    from geotools_ray.sources.images import decode_image
+    from geotools_ray.sources.jpegprog import _frame_marker
+    from geotools_ray.stages.imaging import decode_features_batch
+
+    def layout(b: bytes) -> str:
+        if b[:4] == b"\x89PNG":
+            return "png"
+        return "progressive" if _frame_marker(b) == 0xC2 else "baseline"
+
+    t, inside, hit, miss = _gate_fixture()
+    kinds = np.array([layout(b) for b in t["bytes"].to_pylist()])
+    for k in ("png", "baseline", "progressive"):
+        assert (inside & (kinds == k)).any() and (~inside & (kinds == k)).any(), k
+    t = _corrupt_phash(t, [hit, miss])
+
+    def verified(b: pa.Table) -> pa.Table:
+        return b.filter(b["verify_ok"]).select(["image_id", "phash"])
+
+    decoded = ray.data.from_arrow(t).map_batches(
+        decode_features_batch, batch_format="pyarrow", batch_size=2048
+    ).map_batches(verified, batch_format="pyarrow")
+    expected = _canon(IP.cell_rollup(IP.dedup_by_phash(IP.assign_and_join(decoded))))
+
+    ids = pa.array([f"unknown{k:04d}" for k in range(100)])
+    outside = ids.filter(pa.array(~_contained(pa.table({"image_id": ids}))))
+    junk = dict(t.slice(0, 1).to_pylist()[0], image_id=outside[0].as_py(), bytes=b"XXXX" + bytes(32))
+    with pytest.raises(NotImplementedError, match="unknown codec tag"):
+        decode_image(junk["bytes"])
+    with_junk = pa.concat_tables([t, pa.Table.from_pylist([junk], schema=t.schema)])
+    got = _canon(IP.flagship_full(ray.data.from_arrow(with_junk)))
+    pd.testing.assert_frame_equal(got, expected)
 
 
 def test_cli_flagship_wds_and_tfrecord_resume(ray_session, tmp_path):
