@@ -234,12 +234,15 @@ def cmd_flagship(args):
     if getattr(args, "transcode", False):
         # corpus normalization on ingest: progressive jpeg rows become
         # baseline LOSSLESSLY so this and every later pass decode on
-        # the wide batch path (stateless -> fuses with the decode map)
+        # the wide batch path (stateless -> fuses with the decode map).
+        # Only rows a flagship polygon contains are transcoded: the
+        # rest are dropped before decode anyway
+        from .ops.imagepipeline import polygon_filter
         from .stages.imaging import transcode_batch
 
         images = images.map_batches(
-            transcode_batch, batch_format="pyarrow", batch_size=512
-        )
+            polygon_filter(), batch_format="pyarrow"
+        ).map_batches(transcode_batch, batch_format="pyarrow", batch_size=512)
     out = flagship_full(
         images,
         checkpoint_dir=args.checkpoint,

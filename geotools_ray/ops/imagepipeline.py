@@ -73,6 +73,41 @@ def polygon_matcher(
     return match
 
 
+def polygon_filter(level: int = DEFAULT_LEVEL):
+    """-> keep_matched(t): the rows of t some flagship polygon contains
+    (polygon_matcher, on image_id alone). A row no polygon contains
+    would be dropped by the join anyway, so this drops it before any
+    per-row work on its pixels (decode, verify, transcode)."""
+    match = polygon_matcher(level=level)
+
+    def keep_matched(t: pa.Table) -> pa.Table:
+        keep = np.zeros(len(t), dtype=bool)
+        keep[match(t)[1]] = True
+        return t.filter(pa.array(keep))
+
+    return keep_matched
+
+
+def coalesce_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """A materialized `ds` merged into ceil(size_bytes /
+    DataContext.target_min_block_size) blocks (Ray's own 1 MiB block
+    floor) and materialized; returned as is when it has no more blocks
+    than that. An exchange pays a fixed cost per input block, however
+    small: the flagship join of 16,384 images (8 blocks of 16-50 KB)
+    took 0.61 s to write, 0.46 s to dedup and 0.32 s to roll up on one
+    CPU, and 0.32, 0.15 and 0.09 s merged into 1 block. The merge (a
+    split repartition, no shuffle) runs downstream of the
+    materialization, so it never fuses into the operator that produced
+    `ds`, and it leaves no empty block, which a row-count re-bundling
+    map would keep."""
+    from ray.data import DataContext
+
+    want = max(1, -(-ds.size_bytes() // DataContext.get_current().target_min_block_size))
+    if ds.num_blocks() <= want:
+        return ds
+    return ds.repartition(want).materialize()
+
+
 def assign_and_join(
     images: ray.data.Dataset,
     polygons: list[Polygon] | None = None,
@@ -218,18 +253,44 @@ def flagship(images: ray.data.Dataset, level: int = DEFAULT_LEVEL) -> ray.data.D
     return cell_rollup(deduped)
 
 
-def _input_token(images: ray.data.Dataset) -> str:
-    """Cheap input-identity fingerprint for resume validation: the
-    sorted source-file list when the input is file-backed (no scan),
-    else an order-insensitive hash of the image_id column (one narrow
-    pass). Guards against resuming a checkpoint against a DIFFERENT
-    input, where rows hashing into completed partitions would be
-    silently dropped."""
-    import hashlib
+def _parquet_fingerprint(path: str) -> list | None:
+    """Content identity of one parquet file from its footer alone (no
+    data page is read): byte size, row count, and each row group's
+    image_id min/max. None when it is not a local parquet file."""
+    import os
 
-    files = sorted(images.input_files() or [])
-    if files:
-        return "files:" + hashlib.sha1("\n".join(files).encode()).hexdigest()
+    import pyarrow.parquet as pq
+
+    try:
+        md, size = pq.read_metadata(path), os.path.getsize(path)
+    except (OSError, pa.ArrowInvalid):
+        return None
+    ids = []
+    if "image_id" in md.schema.names:
+        col = md.schema.names.index("image_id")
+        for g in range(md.num_row_groups):
+            st = md.row_group(g).column(col).statistics
+            ids.append([st.min, st.max] if st is not None and st.has_min_max else None)
+    return [size, md.num_rows, ids]
+
+
+def _input_token(images: ray.data.Dataset) -> str:
+    """Input identity for resume validation, by content, not by path.
+    A parquet-file input is fingerprinted from each file's footer
+    (_parquet_fingerprint, order-insensitive over files), so a copied
+    input resumes and different bytes under the same path are refused.
+    Any other input (from_arrow, tar or TFRecord shards, remote files)
+    hashes its image_id column, order-insensitively (one narrow pass).
+    Guards against resuming a checkpoint against a DIFFERENT input,
+    where rows hashing into completed partitions would be silently
+    dropped."""
+    import hashlib
+    import json
+
+    fps = [_parquet_fingerprint(f) for f in images.input_files() or []]
+    if fps and None not in fps:
+        blob = json.dumps(sorted(fps, key=json.dumps)).encode()
+        return "parquet:" + hashlib.sha1(blob).hexdigest()
     from ray.data.aggregate import Sum
 
     from ..stages.grouped import hash_columns
@@ -261,21 +322,40 @@ def checkpoint_join(
 ) -> ray.data.Dataset:
     """Durable restart boundary for the flagship: write the narrow
     join output as `num_parts` image_id-hash partitions with manifest
-    records (atomic rename + lineage, state/manifest.py), then read
-    it back as the input of the shuffle stages. On resume, partitions
-    already in the manifest are filtered out at the first map stage,
-    so their decode/join work is never repaid."""
+    records (atomic rename + lineage, state/manifest.py), and return
+    the join rows for the shuffle stages from the object store, not
+    from the files just written. The files are only the restart
+    boundary (the reference's "skip outputs that exist"): a fresh run
+    returns `joined` itself, a resumed run the read of the partitions
+    done before this run plus `joined`.
+
+    `joined` should be materialized (it is counted, then returned) and
+    must hold no row of a done partition (flagship_full's prefilter
+    drops them before decode): the row counts of the records written
+    this run must sum to its row count, or this raises."""
     from ..stages.grouped import hash_columns
-    from ..state.manifest import read_partitioned, write_partitioned
+    from ..state.manifest import load_manifest, read_partitioned, write_partitioned
 
     def key_fn(t: pa.Table) -> np.ndarray:
         return (hash_columns(t, ["image_id"]) % np.uint64(num_parts)).astype(np.int64)
 
-    write_partitioned(
+    prior = list(load_manifest(out_dir))
+    recs = write_partitioned(
         joined, out_dir, key_fn, num_parts=num_parts,
         input_fragments=input_fragments,
     )
-    return read_partitioned(out_dir)
+    # Ray gives a frame without columns when no partition was written
+    written = int(recs["row_count"].sum()) if len(recs) else 0
+    rows = joined.count()
+    if written != rows:
+        raise ValueError(
+            f"checkpoint at {out_dir}: this run's records hold {written} "
+            f"rows, the join {rows}; rows of partitions done before this "
+            f"run must not be passed in again"
+        )
+    if not prior:
+        return joined
+    return read_partitioned(out_dir, prior).union(joined)
 
 
 def flagship_full(
@@ -306,7 +386,9 @@ def flagship_full(
     is only the narrow join (8,176 rows, 0.35 MB). Re-bundling the
     matched rows into full 2,048-row decode batches (an unfused
     filter operator ahead of the decode) measured within noise of
-    this plan, so the filter stays fused.
+    this plan, so the filter stays fused. The join is then
+    materialized and merged to one block per MiB (coalesce_blocks)
+    before its exchanges.
 
     With `checkpoint_dir` the join output is checkpointed through the
     resumable manifest store (state/manifest): hash-partitioned by
@@ -314,10 +396,12 @@ def flagship_full(
     with a lineage record. On rerun, the completed-partition anti-join
     runs on the RAW input table (partition key = hash(image_id), known
     before any compute), so the decode+join of completed partitions is
-    genuinely never repaid. read_partitioned then returns old + new
-    partitions together. At design scale this is the restart boundary
-    between the embarrassingly-parallel front half and the shuffle
-    back half."""
+    genuinely never repaid. The files are a restart boundary, not a
+    data path: dedup and rollup read the materialized join from the
+    object store, and a resumed run adds a read of only the partitions
+    done before it (checkpoint_join). At design scale this is the
+    restart boundary between the embarrassingly-parallel front half
+    and the shuffle back half."""
     from ..stages.grouped import hash_columns
     from ..stages.imaging import decode_features_batch
     from ..state.manifest import load_manifest
@@ -358,16 +442,6 @@ def flagship_full(
 
             images = images.map_batches(prefilter, batch_format="pyarrow")
 
-    match = polygon_matcher(level=level)
-
-    def keep_matched(t: pa.Table) -> pa.Table:
-        # a row no polygon contains would be dropped by the join anyway:
-        # drop it before its decode, so verify runs on exactly the rows
-        # that can reach the output
-        keep = np.zeros(len(t), dtype=bool)
-        keep[match(t)[1]] = True
-        return t.filter(pa.array(keep))
-
     def enforce_verify(t: pa.Table) -> pa.Table:
         # the input_hint invariant is a GATE, not a report: rows whose
         # recomputed perceptual hash mismatches the stored phash
@@ -387,23 +461,19 @@ def flagship_full(
         return t.select(["image_id", "phash"])
 
     decoded = (
-        images.map_batches(keep_matched, batch_format="pyarrow")
+        images.map_batches(polygon_filter(level), batch_format="pyarrow")
         .map_batches(decode_features_batch, batch_format="pyarrow", batch_size=decode_batch_size)
         .map_batches(enforce_verify, batch_format="pyarrow")
     )
     joined = assign_and_join(decoded, level=level)
-    # checkpoint the NARROW join output before the shuffle stages: the
-    # streaming executor schedules an AllToAll chained directly after
-    # the heavy fused decode-map very poorly (measured 6x slowdown at
-    # 8 cpus: 97 s lazy vs 16 s checkpointed); the checkpoint is the
-    # durable per-partition parquet manifest when a dir is given
-    # (resumable), else the object store holds it (~40 B/row)
-    # BOTH branches materialize first: the narrow rows (~40 B/row) land
-    # in the object store once, so checkpoint_join's grouped shuffle
-    # starts from settled blocks instead of chaining an AllToAll onto
-    # the decode map (measured 22.5 s -> 13.0 s on the 2M-image
-    # headline; write itself is ~1.1 s once the input is materialized)
-    joined = joined.materialize()
+    # materialize the NARROW join output (~40 B/row) before any
+    # exchange: the streaming executor schedules an AllToAll chained
+    # directly after the heavy fused decode-map very poorly (measured
+    # 6x slowdown at 8 cpus: 97 s lazy vs 16 s materialized; 22.5 s ->
+    # 13.0 s on the 2M-image headline). It arrives as one small block
+    # per decode task (8 of 16-50 KB at 16,384 images); coalesced, the
+    # write, dedup and rollup exchanges each pay the one-block cost
+    joined = coalesce_blocks(joined.materialize())
     if checkpoint_dir is not None:
         joined = checkpoint_join(
             joined, checkpoint_dir, num_parts=checkpoint_parts,

@@ -201,15 +201,14 @@ def write_partitioned(
     return out
 
 
-def read_partitioned(out_dir: str):
-    """Read a checkpointed output back as a Dataset."""
+def read_partitioned(out_dir: str, keys: list[str] | None = None):
+    """Read a checkpointed output back as a Dataset: the partitions
+    `keys`, or every partition on disk when None."""
     import ray.data
 
-    parts = sorted(
-        os.path.join(out_dir, d, "data.parquet")
-        for d in os.listdir(out_dir)
-        if d.startswith("part=")
-    )
+    if keys is None:
+        keys = [d[len("part="):] for d in os.listdir(out_dir) if d.startswith("part=")]
+    parts = sorted(os.path.join(out_dir, f"part={k}", "data.parquet") for k in keys)
     if not parts:
         raise FileNotFoundError(
             f"no partitions under {out_dir} — not a checkpointed output"

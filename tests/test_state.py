@@ -139,6 +139,172 @@ def test_flagship_checkpoint_refuses_different_input(ray_session, tmp_path):
         ).to_pandas()
 
 
+def test_flagship_checkpoint_resumes_a_copied_input_and_refuses_rewritten_bytes(
+    ray_session, tmp_path
+):
+    """Resume identity is the input's content, read from the parquet
+    footers, not its path: the same file copied to another directory
+    resumes to the same output, and different bytes under the path the
+    checkpoint was written from are refused."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from geotools_ray.ops import imagepipeline as IP
+    from geotools_ray.sources import images as I
+    from geotools_ray.state.manifest import load_manifest
+
+    src, copy = tmp_path / "src", tmp_path / "copy"
+    os.makedirs(src)
+    pq.write_table(I.generate_image_table(300, seed=7), str(src / "part0.parquet"))
+    ck = str(tmp_path / "ck")
+
+    def run(d):
+        return _canon(IP.flagship_full(ray.data.read_parquet(str(d)), checkpoint_dir=ck,
+                                       checkpoint_parts=4))
+
+    ref = run(src)
+    victim = sorted(load_manifest(ck))[0]
+    shutil.rmtree(os.path.join(ck, f"part={victim}"))
+    os.remove(os.path.join(ck, "_manifest", f"{victim}.json"))
+    shutil.copytree(src, copy)
+    assert run(copy).equals(ref)
+    assert set(load_manifest(ck)) == {"0", "1", "2", "3"}
+
+    # same path, same ids, other pixels
+    pq.write_table(I.generate_image_table(300, seed=8), str(copy / "part0.parquet"))
+    with pytest.raises(ValueError, match="different input"):
+        run(copy)
+
+
+def _drop_data_files_after_write(monkeypatch):
+    """Make write_partitioned delete every part=*/data.parquet as soon as
+    it has written them: a pipeline that reads its checkpoint back
+    fails, one that keeps the rows in the object store does not."""
+    import glob
+
+    from geotools_ray.state import manifest
+
+    write = manifest.write_partitioned
+
+    def write_then_drop(ds, out_dir, *a, **kw):
+        recs = write(ds, out_dir, *a, **kw)
+        for f in glob.glob(os.path.join(out_dir, "part=*", "data.parquet")):
+            os.remove(f)
+        return recs
+
+    monkeypatch.setattr(manifest, "write_partitioned", write_then_drop)
+
+
+def test_flagship_fresh_checkpoint_is_not_read_back(ray_session, tmp_path, monkeypatch):
+    """A fresh flagship_full run writes its checkpoint but feeds dedup
+    and rollup from the materialized join: with every data file gone
+    right after the write, the output still equals the run without a
+    checkpoint. The records written count exactly the join's rows."""
+    import ray.data
+
+    from geotools_ray.ops import imagepipeline as IP
+    from geotools_ray.sources import images as I
+    from geotools_ray.stages.imaging import decode_features_batch
+    from geotools_ray.state.manifest import load_manifest
+
+    t = I.generate_image_table(600, seed=7)
+    ref = _canon(IP.flagship_full(ray.data.from_arrow(t)))
+
+    _drop_data_files_after_write(monkeypatch)
+    ck = str(tmp_path / "ck")
+    out = IP.flagship_full(ray.data.from_arrow(t), checkpoint_dir=ck, checkpoint_parts=8)
+    assert not any(
+        os.path.exists(os.path.join(ck, d, "data.parquet")) for d in os.listdir(ck)
+    )
+    assert _canon(out).equals(ref)
+
+    decoded = ray.data.from_arrow(t).map_batches(decode_features_batch, batch_format="pyarrow")
+    assert decoded.select_columns(["verify_ok"]).to_pandas()["verify_ok"].all()
+    join_rows = IP.assign_and_join(ray.data.from_arrow(t)).count()
+    man = load_manifest(ck)
+    assert len(man) == 8 and join_rows > 0
+    assert sum(r["row_count"] for r in man.values()) == join_rows
+
+
+def test_checkpoint_join_refuses_rows_of_done_partitions(ray_session, tmp_path):
+    """checkpoint_join returns old + new partitions without reading the
+    new ones back, so rows that fall into a partition done before the
+    call would be counted twice: the records written must count every
+    row passed in, or it raises."""
+    import ray.data
+
+    from geotools_ray.ops import imagepipeline as IP
+    from geotools_ray.sources import images as I
+
+    joined = IP.assign_and_join(ray.data.from_arrow(I.generate_image_table(600, seed=7)))
+    joined = joined.materialize()
+    ck = str(tmp_path / "ck")
+    back = IP.checkpoint_join(joined, ck, num_parts=4)
+    assert back.count() == joined.count()
+    with pytest.raises(ValueError, match="must not be passed in again"):
+        IP.checkpoint_join(joined, ck, num_parts=4)
+
+
+def test_flagship_exchanges_see_one_block(ray_session, tmp_path, monkeypatch):
+    """The join reaches every exchange of flagship_full (the checkpoint
+    write, dedup, rollup) as ONE block when it is under 1 MiB, though
+    the decode runs as several tasks and emits a block each; on resume
+    the new rows are written from one block too."""
+    import ray.data
+
+    from geotools_ray.ops import imagepipeline as IP
+    from geotools_ray.sources import images as I
+    from geotools_ray.stages import grouped as G
+    from geotools_ray.state.manifest import load_manifest
+
+    seen, joins = [], []
+    grouped_map, coalesce = G.grouped_map, IP.coalesce_blocks
+
+    def spy(ds, *a, **kw):
+        seen.append(ds._plan.initial_num_blocks())
+        return grouped_map(ds, *a, **kw)
+
+    def spy_coalesce(ds):
+        joins.append(ds.num_blocks())
+        return coalesce(ds)
+
+    monkeypatch.setattr(G, "grouped_map", spy)
+    monkeypatch.setattr(IP, "coalesce_blocks", spy_coalesce)
+    t = I.generate_image_table(600, seed=7)
+
+    def run(**kw):
+        src = ray.data.from_arrow([t.slice(i * 150, 150) for i in range(4)])
+        return _canon(IP.flagship_full(src, decode_batch_size=64, **kw))
+
+    ref = run()
+    assert seen == [1, 1]  # dedup, rollup
+    assert joins == [4]
+    ck = str(tmp_path / "ck")
+    seen.clear()
+    assert run(checkpoint_dir=ck, checkpoint_parts=8).equals(ref)
+    assert seen == [1, 1, 1]  # write, dedup, rollup
+
+    for k in sorted(load_manifest(ck))[:3]:
+        shutil.rmtree(os.path.join(ck, f"part={k}"))
+        os.remove(os.path.join(ck, "_manifest", f"{k}.json"))
+    seen.clear()
+    assert run(checkpoint_dir=ck, checkpoint_parts=8).equals(ref)
+    assert seen[0] == 1
+
+
+def test_polygon_filter_keeps_exactly_the_contained_rows(ray_session):
+    """polygon_filter, which runs ahead of decode in flagship_full and
+    ahead of transcode in `cli flagship --transcode`, keeps exactly the
+    rows some flagship polygon contains (straight PIP, no prefilter)."""
+    from geotools_ray.ops.imagepipeline import polygon_filter
+    from geotools_ray.sources.images import generate_image_table
+
+    t = generate_image_table(400, seed=11)
+    inside = _contained(t)
+    assert inside.any() and not inside.all()
+    assert polygon_filter()(t).equals(t.filter(pa.array(inside)))
+
+
 def test_manifest_crash_debris_and_empty_partitions(ray_session, tmp_path):
     """Round-3 review fixes: (a) stale/partial temp files in _manifest
     never break load_manifest; (b) partitions receiving zero rows get
