@@ -20,14 +20,6 @@ import numpy as np
 
 MAX_LEVEL = 29
 
-_B = [
-    0x5555555555555555,
-    0x3333333333333333,
-    0x0F0F0F0F0F0F0F0F,
-    0x00FF00FF00FF00FF,
-    0x0000FFFF0000FFFF,
-]
-
 
 def _part1by1(v: np.ndarray) -> np.ndarray:
     """Spread the low 32 bits of v into even bit positions."""

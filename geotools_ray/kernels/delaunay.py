@@ -120,15 +120,6 @@ def delaunay(points: np.ndarray) -> list[tuple[int, int, int]]:
     return [tuple(t) for t in tris[keep]]
 
 
-def _bary(p, a, b, c):
-    det = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
-    if det == 0:
-        return None
-    l1 = ((b[1] - c[1]) * (p[0] - c[0]) + (c[0] - b[0]) * (p[1] - c[1])) / det
-    l2 = ((c[1] - a[1]) * (p[0] - c[0]) + (a[0] - c[0]) * (p[1] - c[1])) / det
-    return l1, l2, 1.0 - l1 - l2
-
-
 def interp_tin(qx, qy, pts_xy: np.ndarray, pts_z: np.ndarray, nodata=np.nan):
     """Interpolate z at (qx, qy) arrays from a TIN of the sample points
     (barycentric inside the containing triangle — the reference's

@@ -330,14 +330,6 @@ def spill_points(
     return out
 
 
-def normalize_grid(grid: np.ndarray, nodata: float = NODATA) -> np.ndarray:
-    """Grid::normalize over a 2-D grid (src/raster.cpp:93-113) — see
-    kernels.stats.normalize_reference for the quirk notes."""
-    from .stats import normalize_reference
-
-    return normalize_reference(grid.ravel(), grid.size, nodata).reshape(grid.shape)
-
-
 def crown_growth(
     grid: np.ndarray,
     tops: list[tuple[int, int, int, float]],

@@ -32,7 +32,7 @@ import ray.data
 from ray.data.aggregate import Max, Min
 
 from ..kernels import stats as K
-from ..kernels.grid import Bounds, cell_centroids, cell_id_of_points, radius_cells_of_points
+from ..kernels.grid import Bounds, cell_id_of_points, radius_cells_of_points
 
 ALGEBRAIC = {"count", "min", "max", "mean", "density", "variance", "stddev", "pvariance", "pstddev"}
 
@@ -306,21 +306,3 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
         return finish(cids, off, vals, unf, sort=True)
 
     return salted_grouped_map(cells, ["cell_id"], chunk, merge, batch_format="pyarrow")
-
-
-def add_cell_coords(stats_ds: ray.data.Dataset, b: Bounds, res: float) -> ray.data.Dataset:
-    """Append col / row / centroid columns for export."""
-    cols = b.cols(res)
-    rows = b.rows(res)
-
-    def fn(t: pa.Table) -> pa.Table:
-        cid = t["cell_id"].to_numpy(zero_copy_only=False)
-        cx, cy = cell_centroids(cid, b, res)
-        return (
-            t.append_column("col", pa.array(cid % cols))
-            .append_column("row", pa.array(cid // cols))
-            .append_column("cx", pa.array(cx))
-            .append_column("cy", pa.array(cy))
-        )
-
-    return stats_ds.map_batches(fn, batch_format="pyarrow")

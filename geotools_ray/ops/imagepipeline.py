@@ -198,7 +198,7 @@ def dedup_by_phash(joined: ray.data.Dataset, num_parts: int | None = None,
     )
 
 
-def cell_rollup(joined: ray.data.Dataset, shuffle_blocks: int | None = None) -> ray.data.Dataset:
+def cell_rollup(joined: ray.data.Dataset) -> ray.data.Dataset:
     """Images per (polygon, parent cell at level-2) — the compaction-
     style rollup (ST7). Partial-aggregates per batch first so the
     shuffle moves one row per (polygon, parent) per batch."""
@@ -243,7 +243,7 @@ def cell_rollup(joined: ray.data.Dataset, shuffle_blocks: int | None = None) -> 
 
     partials = joined.map_batches(partial, batch_format="pyarrow")
     return grouped_map(
-        partials, ["polygon_id", "parent_cell"], final, num_parts=shuffle_blocks, batch_format="pyarrow"
+        partials, ["polygon_id", "parent_cell"], final, batch_format="pyarrow"
     )
 
 

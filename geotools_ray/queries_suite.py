@@ -144,49 +144,6 @@ def _module_for(attr: str):
     raise AttributeError(attr)
 
 
-_RESULT_CACHE: dict = {}
-
-
-def _run_sub(fn_name: str, sf_dir: str):
-    """Run one packed subquery. Under the bench sweep
-    (GRAFT_CACHE_POINTS=1) the result is memoized per (fn, sf_dir) as
-    a pandas frame, because every subquery runs TWICE there — once
-    standalone, once inside this suite slot — and the expensive ones
-    (asof/window/ann_ivfpq/global_quantiles) would double the sweep's
-    bill. Entries are EVICTED on their second read (each is consumed
-    exactly twice), so the sweep never pins more than the in-flight
-    results in driver heap. Correctness runs (no env var) always
-    compute fresh."""
-    import os
-
-    fn = getattr(_module_for(fn_name), fn_name)
-    if os.environ.get("GRAFT_CACHE_POINTS") != "1":
-        return fn(sf_dir)
-    key = (fn_name, sf_dir)
-    if key not in _RESULT_CACHE:
-        res = fn(sf_dir)
-        if hasattr(res, "to_pandas"):
-            res = res.to_pandas()
-        _RESULT_CACHE[key] = [res, 0]
-    ent = _RESULT_CACHE[key]
-    ent[1] += 1
-    if ent[1] >= 2:
-        del _RESULT_CACHE[key]  # a third read just recomputes
-    return ent[0]
-
-
-def wrap_sub(fn_name: str):
-    """Standalone registration for a packed subquery that shares the
-    suite's memo under the bench sweep (driver-contract shape: one
-    callable taking sf_dir)."""
-
-    def run(sf_dir: str):
-        return _run_sub(fn_name, sf_dir)
-
-    run.__name__ = fn_name
-    return run
-
-
 def q_small_suite(sf_dir: str) -> pd.DataFrame:
     """One driver slot covering the packed oracle queries (every
     _SUBS entry — len(_SUBS) members): melt each
@@ -199,7 +156,7 @@ def q_small_suite(sf_dir: str) -> pd.DataFrame:
     for entry in _SUBS:
         name, fn_name, _sql, cols = entry[:4]
         pred = entry[4] if len(entry) > 4 else None
-        res = _run_sub(fn_name, sf_dir)
+        res = getattr(_module_for(fn_name), fn_name)(sf_dir)
         df = res.to_pandas() if hasattr(res, "to_pandas") else res
         if df.shape[1] == 0:
             # ray's to_pandas drops the schema when every block is

@@ -34,9 +34,8 @@ Ray-side (schema, batch sizing, actor signatures, PSNR gate) is
 format-agnostic.
 
 Geometry is DERIVED, not stored (SURVEY.md §7.2): a seeded RNG keyed
-by image_id yields the footprint centroid (lon, lat); extent comes
-from (w, h) at a fixed ground resolution. This mirrors how the
-reference derives raster cells from point x/y
+by image_id yields the footprint centroid (lon, lat). This mirrors
+how the reference derives raster cells from point x/y
 (/root/reference/src/lasgrid.cpp:303-314).
 """
 
@@ -50,7 +49,6 @@ from . import codecs
 
 SIZES = (16, 32, 64)
 FMTS = ("png", "jpeg")
-GROUND_RES = 1e-4  # degrees per pixel for footprint extent
 JPEG_QUALITY = 92  # min PSNR ~43 dB on synth_pixels content (gate: 40)
 JPEG_RESTART = 8  # MCUs per restart segment (wide-decode parallelism)
 # Per-row JPEG layout, cycled over jpeg rows — the realistic
@@ -245,11 +243,6 @@ def footprint_lonlat(image_ids, seed: int = 42, bbox=(-20.0, -20.0, 20.0, 20.0))
     return lon, lat
 
 
-def footprint_extent(w, h, res: float = GROUND_RES):
-    """Footprint half-extent (degrees) from image pixel dims."""
-    return np.asarray(w) * res / 2.0, np.asarray(h) * res / 2.0
-
-
 IMAGE_SCHEMA = pa.schema(
     [
         ("image_id", pa.string()),
@@ -349,37 +342,3 @@ def generate_image_table(n: int, seed: int = 42, dup_frac: float = 0.01) -> pa.T
     pixel-exact duplicate of an earlier row (dedup fixture)."""
     dup_every = int(1 / dup_frac) if dup_frac > 0 else 0
     return _chunk_table(0, n, seed, dup_every)
-
-
-def write_image_table(
-    path: str,
-    n: int,
-    seed: int = 42,
-    rows_per_file: int = 50_000,
-    dup_frac: float = 0.01,
-):
-    """Write the synthetic table as a directory of parquet files (or a
-    Lance dataset when the lance package is available) — streamed in
-    rows_per_file chunks on BOTH branches so the n-row table is never
-    materialized whole."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    try:
-        import lance
-    except ImportError:
-        lance = None
-
-    os.makedirs(path, exist_ok=True)
-    dup_every = int(1 / dup_frac) if dup_frac > 0 else 0
-    for start in range(0, n, rows_per_file):
-        stop = min(start + rows_per_file, n)
-        t = _chunk_table(start, stop, seed, dup_every)
-        if lance is not None:
-            lance.write_dataset(
-                t, path, mode="overwrite" if start == 0 else "append"
-            )
-        else:
-            pq.write_table(t, os.path.join(path, f"part-{start:012d}.parquet"))
-    return path

@@ -37,8 +37,6 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-COLUMNS = ("image_id", "bytes", "w", "h", "fmt", "caption", "phash")
-
 
 def _shard_bytes(t: pa.Table) -> tuple[str, bytes, int]:
     """One batch -> (content-addressed shard name, tar payload, rows)."""

@@ -103,7 +103,6 @@ def grouped_map(
     fn: Callable,
     *,
     num_parts: int | None = None,
-    drop_part: bool = True,
     batch_format: str = "pandas",
 ) -> ray.data.Dataset:
     """One shuffle, vectorized per-partition apply.
@@ -146,17 +145,13 @@ def grouped_map(
     if batch_format == "pyarrow":
 
         def apply_arrow(g: pa.Table) -> pa.Table:
-            if drop_part:
-                g = g.drop_columns(["_part"])
-            return fn(g)
+            return fn(g.drop_columns(["_part"]))
 
         apply = apply_arrow
     else:
 
         def apply_pandas(g: pd.DataFrame) -> pd.DataFrame:
-            if drop_part:
-                g = g.drop(columns=["_part"])
-            return fn(g)
+            return fn(g.drop(columns=["_part"]))
 
         apply = apply_pandas
 

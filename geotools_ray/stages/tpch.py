@@ -74,28 +74,8 @@ def derive_points_batch(t: pa.Table) -> pa.Table:
     )
 
 
-_POINTS_CACHE: dict = {}
-
-
 def read_points(sf_dir: str) -> ray.data.Dataset:
-    """lineitem -> point Dataset (columns pruned at the read).
-
-    With GRAFT_CACHE_POINTS=1 the derived table is materialized ONCE
-    per sf_dir and shared by every subsequent query in the session
-    (bench.py sets it for the sweep: ~40 queries reuse one object-
-    store-resident table instead of re-reading + re-deriving it)."""
-    import os
-
-    if os.environ.get("GRAFT_CACHE_POINTS") == "1":
-        ds = _POINTS_CACHE.get(sf_dir)
-        if ds is None:
-            ds = (
-                ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=LINEITEM_COLS)
-                .map_batches(derive_points_batch, batch_format="pyarrow")
-                .materialize()
-            )
-            _POINTS_CACHE[sf_dir] = ds
-        return ds
+    """lineitem -> point Dataset (columns pruned at the read)."""
     ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet", columns=LINEITEM_COLS)
     return ds.map_batches(derive_points_batch, batch_format="pyarrow")
 
@@ -145,7 +125,6 @@ FROM supplier
 # ---------------------------------------------------------------------------
 # events: the shared input of the keyed-temporal query family
 
-_EVENTS_CACHE: dict = {}
 EVENTS_COLS = ["event_id", "user_id", "event_type", "ts", "value"]
 
 
@@ -166,26 +145,7 @@ def events_prep_batch(t: pa.Table) -> pa.Table:
 
 def read_events(sf_dir: str) -> ray.data.Dataset:
     """events.parquet prepped once for the keyed-temporal family
-    (as-of joins, window analytics, sessionization, interval ops).
-
-    With GRAFT_CACHE_POINTS=1 (the bench sweep) the prepped table is
-    materialized ONCE per sf_dir and shared: ~12 queries previously
-    each paid their own parquet read + timestamp cast before their
-    shuffle. Correctness runs (no env var) always read fresh."""
-    import os
-
-    if os.environ.get("GRAFT_CACHE_POINTS") == "1":
-        ds = _EVENTS_CACHE.get(sf_dir)
-        if ds is None:
-            ds = (
-                ray.data.read_parquet(
-                    f"{sf_dir}/events.parquet", columns=EVENTS_COLS
-                )
-                .map_batches(events_prep_batch, batch_format="pyarrow")
-                .materialize()
-            )
-            _EVENTS_CACHE[sf_dir] = ds
-        return ds
+    (as-of joins, window analytics, sessionization, interval ops)."""
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=EVENTS_COLS)
     return ds.map_batches(events_prep_batch, batch_format="pyarrow")
 
