@@ -56,8 +56,11 @@ _BOUNDS_CACHE: dict = {}  # (id(ds), res) -> (weakref to ds, Bounds)
 
 def compute_bounds(points: ray.data.Dataset, res: float) -> Bounds:
     """Data-driven snapped bounds (pass 1 of the reference). Cached per
-    dataset object: the bench sweep shares ONE materialized points
-    table across ~40 queries, each of which needs the same bounds.
+    dataset object, for a caller that passes one materialized points
+    dataset to several grid_stats calls: perfbench's traced LiDAR split
+    (`trace.lidar_staged` times this pass, then its partial and exact
+    runs hit, so their times exclude it) and `Lidar.warmup`. Queries
+    build a fresh dataset per call and never hit.
     Entries hold WEAK references, so dead pipelines' (possibly
     materialized, object-store-backed) datasets are not pinned by the
     cache and a recycled id() cannot produce a stale hit."""

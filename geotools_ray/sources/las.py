@@ -12,8 +12,8 @@ split into fixed-size record ranges and each range is read + decoded
 INSIDE a Ray task with one seek + one contiguous read + one
 np.frombuffer over a structured dtype — no Python per point, no whole
 -file bytes through the object store. A 100 GB flight line becomes
-~100 independent 1M-point chunks; a directory of tiles parallelizes
-per (file, chunk).
+~100 1M-point ranges; read_las packs ranges into one task per CPU (or
+per target block size, when that gives more tasks).
 
 Quantization note: LAS stores int32 grid coordinates; x = X*scale +
 offset re-quantizes any float input. Oracles over a LAS round trip
@@ -29,6 +29,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 import ray.data
+
+from ..stages.grouped import cluster_cpus
 
 HEADER_SIZE = 227  # LAS 1.2
 _POINT_DTYPES = {
@@ -140,12 +142,40 @@ def _chunk_to_table(
     return pa.table(cols)
 
 
+def _pack(counts: np.ndarray, n_groups: int) -> list[int]:
+    """Cut points splitting ranges, in order, into `n_groups`
+    contiguous non-empty groups balanced by point count."""
+    cum = np.cumsum(counts)
+    cuts: list[int] = []
+    lo, n = 0, len(counts)
+    for k in range(1, n_groups):
+        c = int(np.searchsorted(cum, cum[-1] * k / n_groups)) + 1
+        lo = min(max(c, lo + 1), n - n_groups + k)
+        cuts.append(lo)
+    return cuts
+
+
 def read_las(
     paths, chunk_points: int = 1_000_000, columns: list[str] | None = None
 ) -> ray.data.Dataset:
-    """.las file / directory / list -> point Dataset. One Ray task per
-    (file, chunk_points record range); all files must share a point
-    format so blocks have one schema."""
+    """.las file / directory / list -> point Dataset; all files must
+    share a point format so blocks have one schema.
+
+    The driver reads headers only and cuts each file's records into
+    ranges of at most `chunk_points`: the most one seek + contiguous
+    read + decode covers. The ranges, in (file, start) order, are
+    packed into T contiguous groups balanced by point count, and each
+    group is one Ray task and one output block (rows keep the
+    (file, start) order):
+
+        T = min(ranges, max(ceil(est_bytes / target_max_block_size),
+                            cluster CPUs))
+
+    with est_bytes = points x 8 B x output columns. T fills the cluster
+    once and keeps blocks under Ray's target size; it does not grow
+    with the chunk count, because every downstream map and sort
+    shuffle pays a fixed cost per block (one 600k-row exchange on one
+    CPU: 0.27-0.29 s from 5 blocks, 0.14 s from 1)."""
     if isinstance(paths, str):
         if os.path.isdir(paths):
             paths = sorted(
@@ -179,11 +209,10 @@ def read_las(
                     "ox": hdr["offset"][0], "oy": hdr["offset"][1], "oz": hdr["offset"][2],
                 }
             )
-    if not chunks:  # all files hold zero points: empty typed dataset
-        return ray.data.from_arrow(
-            _chunk_to_table(paths[0], fmt0, _POINT_DTYPES[fmt0].itemsize,
+    empty = _chunk_to_table(paths[0], fmt0, _POINT_DTYPES[fmt0].itemsize,
                             HEADER_SIZE, 0, 0, (1, 1, 1), (0, 0, 0), columns)
-        )
+    if not chunks:  # all files hold zero points: empty typed dataset
+        return ray.data.from_arrow(empty)
     plan = pa.Table.from_pylist(chunks)
 
     def parse(t: pa.Table) -> pa.Table:
@@ -197,11 +226,15 @@ def read_las(
         ]
         return pa.concat_tables(parts)
 
-    nparts = len(chunks)
-    return (
-        ray.data.from_arrow(plan)
-        .repartition(nparts)
-        .map_batches(parse, batch_format="pyarrow")
+    counts = plan["count"].to_numpy()
+    est_bytes = int(counts.sum()) * 8 * empty.num_columns
+    target = ray.data.DataContext.get_current().target_max_block_size
+    cpus = cluster_cpus() or os.cpu_count() or 1
+    n_tasks = min(len(chunks), max(-(-est_bytes // target), cpus))
+    bounds = [0, *_pack(counts, n_tasks), len(chunks)]
+    groups = [plan.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+    return ray.data.from_arrow(groups).map_batches(
+        parse, batch_format="pyarrow", batch_size=None
     )
 
 

@@ -78,8 +78,8 @@ def test_read_las_input_does_not_coalesce(ray_session, tmp_path):
     ds = grouped_map(
         pts, ["k"], lambda df: df.groupby("k").size().reset_index(name="n"), num_parts=P
     )
-    # read_las plans one repartition of its own (one task per chunk)
-    assert _ops(ds) == _ops(pts) == 1
+    # read_las plans one task per CPU, no repartition; grouped_map adds none
+    assert _ops(ds) == _ops(pts) == 0
     assert ds.to_pandas()["n"].sum() == 2500
 
 
@@ -128,3 +128,13 @@ def test_one_file_split_read_reports_one_block(ray_session, tmp_path):
     out = grouped_map(ds, ["k"], _count_sum(), num_parts=P)
     assert _ops(out) == 0
     assert out.to_pandas()["count"].sum() == 40_000
+
+
+def test_warm_up_reads_one_parquet_file(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+
+    from geotools_ray.stages.grouped import warm_up
+
+    # a string first column: the warm-up's key is whatever comes first
+    pq.write_table(pa.table({"name": ["a", "b", "a"], "v": [1, 2, 3]}), tmp_path / "t.parquet")
+    warm_up(str(tmp_path / "t.parquet"))

@@ -203,3 +203,80 @@ def test_oracle_quantization_rounds_ties_to_even():
     want = np.round(v / 0.5) * 0.5
     assert want.tolist() == [10.0, 2.0, -1.0]
     assert got.tolist() == want.tolist()
+
+
+def _tiles(tmp_path, sizes):
+    """One point-format-0 file per size, in sorted-name order."""
+    paths = []
+    for i, n in enumerate(sizes):
+        p = str(tmp_path / f"tile{i}.las")
+        L.write_las(_point_table(n, seed=10 + i), p, point_format=0)
+        paths.append(p)
+    return paths
+
+
+def _per_range(paths, chunk_points):
+    """The files' rows as the concatenation of their chunk ranges, read
+    in (file, start) order outside Ray."""
+    parts = []
+    for p in paths:
+        h = L.las_header_info(p)
+        for start in range(0, h["npoints"], chunk_points):
+            parts.append(L._chunk_to_table(
+                p, h["fmt"], h["reclen"], h["data_offset"], start,
+                min(chunk_points, h["npoints"] - start), h["scale"], h["offset"], None))
+    return pa.concat_tables(parts)
+
+
+def test_read_tasks_follow_cluster_cpus(ray_session, tmp_path):
+    # the fixture's session has 4 CPUs: 8 ranges pack into 4 tasks
+    paths = _tiles(tmp_path, [250, 300, 170])  # 3 + 3 + 2 ranges
+    ds = L.read_las(paths, chunk_points=100)
+    assert ds._plan.initial_num_blocks() == 4
+    assert ds.materialize().num_blocks() == 4
+
+
+def test_read_tasks_never_exceed_ranges(ray_session, tmp_path):
+    paths = _tiles(tmp_path, [90, 60])  # one range per file
+    ds = L.read_las(paths, chunk_points=100)
+    assert ds._plan.initial_num_blocks() == 2
+    assert ds.materialize().num_blocks() == 2
+
+
+def test_packed_read_keeps_range_order(ray_session, tmp_path):
+    import ray
+    from ray.data import DataContext
+
+    paths = _tiles(tmp_path, [250, 300, 170])
+    opts = DataContext.get_current().execution_options
+    keep = opts.preserve_order
+    opts.preserve_order = True
+    try:
+        got = pa.concat_tables(ray.get(L.read_las(paths, chunk_points=100).to_arrow_refs()))
+    finally:
+        opts.preserve_order = keep
+    assert got.equals(_per_range(paths, 100))
+
+
+def test_read_tasks_grow_past_cpus_for_big_blocks(ray_session, tmp_path):
+    from ray.data import DataContext
+
+    paths = _tiles(tmp_path, [250, 300, 170])  # 720 points x 9 columns
+    ctx = DataContext.get_current()
+    keep = ctx.target_max_block_size
+    # one 100-point range's estimate: ceil(720 * 72 / 7200) = 8 tasks
+    ctx.target_max_block_size = 100 * 8 * 9
+    try:
+        ds = L.read_las(paths, chunk_points=100)
+        assert ds._plan.initial_num_blocks() == 8
+        assert ds.materialize().num_blocks() > 4
+    finally:
+        ctx.target_max_block_size = keep
+
+
+def test_pack_balances_contiguous_groups():
+    assert L._pack(np.full(8, 100), 4) == [2, 4, 6]
+    assert L._pack(np.array([90, 60]), 2) == [1]
+    assert L._pack(np.full(5, 7), 1) == []
+    # a dominant first range still leaves every group non-empty
+    assert L._pack(np.array([1000, 1, 1, 1]), 3) == [1, 2]
