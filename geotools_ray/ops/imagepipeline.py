@@ -141,61 +141,12 @@ def assign_and_join(
 def dedup_by_phash(joined: ray.data.Dataset, num_parts: int | None = None,
                    salt_hot: bool = False) -> ray.data.Dataset:
     """Exact dedup (U4): keep the lexicographically-first image_id per
-    (phash, polygon_id), permutation-safe and fully vectorized.
+    (phash, polygon_id) — ops/dedup.exact_dedup, one hash exchange of
+    Arrow partitions, salted over hot keys with `salt_hot`."""
+    from .dedup import exact_dedup
 
-    Two-phase: (1) batch-local combiner drops duplicates inside each
-    batch (shrinks the shuffle), then (2) grouped_map hash-partitions
-    by key and drops duplicates per partition — ONE shuffle, Python
-    dispatch per partition rather than per key (a per-group map_groups
-    here cost ~30 s at 100k images / 50k keys; this path is ~1 s).
-
-    first-per-key is associative, so a hot phash (a meme duplicated
-    10^5x across the corpus) salts cleanly: with `salt_hot`,
-    salted_grouped_map probes for hot keys and splits their rows over
-    its phase-1 partitions, a per-(key, salt) first each, then a
-    per-key merge of the few survivors (north_rule)."""
-    from ..stages.grouped import grouped_map, salted_grouped_map
-
-    def _first_per(cols):
-        def fn(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            order = pc.sort_indices(t, sort_keys=[("image_id", "ascending")])
-            t2 = t.take(order)
-            # EXACT key grouping (a 64-bit hash as the identity would
-            # silently merge colliding keys at ~1e8-key scale): stable
-            # lexsort on the real columns preserves image_id order
-            # within each key, so first-of-run = first in id order
-            arrs = [
-                t2[c].to_numpy(zero_copy_only=False) for c in cols
-            ]
-            ord2 = np.lexsort(tuple(reversed(arrs)))
-            new = np.zeros(len(t2), dtype=bool)
-            if len(new):
-                new[0] = True
-                for a in arrs:
-                    sa = a[ord2]
-                    new[1:] |= sa[1:] != sa[:-1]
-            return t2.take(np.sort(ord2[np.flatnonzero(new)]))
-
-        return fn
-
-    key = ["phash", "polygon_id"]
-    if salt_hot:
-
-        def merge(t: pa.Table) -> pa.Table:
-            return _first_per(key)(t).drop_columns(["_salt"])
-
-        return salted_grouped_map(
-            joined, key, _first_per(key + ["_salt"]), merge,
-            num_parts=num_parts, batch_format="pyarrow",
-        )
-
-    # batch-local combine is skipped: dups are ~1% so it wouldn't shrink
-    # the shuffle; the single grouped_map shuffle does all the work
-    return grouped_map(
-        joined, key, _first_per(key), num_parts=num_parts, batch_format="pyarrow",
-    )
+    return exact_dedup(joined, ["phash", "polygon_id"], "image_id",
+                       num_parts=num_parts, salt_hot=salt_hot)
 
 
 def cell_rollup(joined: ray.data.Dataset) -> ray.data.Dataset:
@@ -329,33 +280,13 @@ def checkpoint_join(
     returns `joined` itself, a resumed run the read of the partitions
     done before this run plus `joined`.
 
-    `joined` should be materialized (it is counted, then returned) and
-    must hold no row of a done partition (flagship_full's prefilter
-    drops them before decode): the row counts of the records written
-    this run must sum to its row count, or this raises."""
-    from ..stages.grouped import hash_columns
-    from ..state.manifest import load_manifest, read_partitioned, write_partitioned
+    `joined` should be materialized (a resumed write passes over it
+    twice) and must hold no row of a done partition (flagship_full's
+    done filter drops them before decode), or this raises before any
+    file is written."""
+    from ..state.manifest import open_checkpoint, write_partitioned
 
-    def key_fn(t: pa.Table) -> np.ndarray:
-        return (hash_columns(t, ["image_id"]) % np.uint64(num_parts)).astype(np.int64)
-
-    prior = list(load_manifest(out_dir))
-    recs = write_partitioned(
-        joined, out_dir, key_fn, num_parts=num_parts,
-        input_fragments=input_fragments,
-    )
-    # Ray gives a frame without columns when no partition was written
-    written = int(recs["row_count"].sum()) if len(recs) else 0
-    rows = joined.count()
-    if written != rows:
-        raise ValueError(
-            f"checkpoint at {out_dir}: this run's records hold {written} "
-            f"rows, the join {rows}; rows of partitions done before this "
-            f"run must not be passed in again"
-        )
-    if not prior:
-        return joined
-    return read_partitioned(out_dir, prior).union(joined)
+    return write_partitioned(joined, open_checkpoint(out_dir, num_parts, input_fragments))
 
 
 def flagship_full(
@@ -393,54 +324,22 @@ def flagship_full(
     With `checkpoint_dir` the join output is checkpointed through the
     resumable manifest store (state/manifest): hash-partitioned by
     image_id into `checkpoint_parts` atomic parquet partitions, each
-    with a lineage record. On rerun, the completed-partition anti-join
-    runs on the RAW input table (partition key = hash(image_id), known
-    before any compute), so the decode+join of completed partitions is
-    genuinely never repaid. The files are a restart boundary, not a
-    data path: dedup and rollup read the materialized join from the
-    object store, and a resumed run adds a read of only the partitions
-    done before it (checkpoint_join). At design scale this is the
-    restart boundary between the embarrassingly-parallel front half
-    and the shuffle back half."""
-    from ..stages.grouped import hash_columns
+    with a lineage record. The manifest is read once (open_checkpoint),
+    and on rerun the done filter (skip_done) runs on the RAW input
+    table (partition key = hash(image_id), known before any compute),
+    so the decode+join of completed partitions is genuinely never
+    repaid. The files are a restart boundary, not a data path: dedup
+    and rollup read the materialized join from the object store, and a
+    resumed run adds a read of only the partitions done before it
+    (write_partitioned). At design scale this is the restart boundary
+    between the embarrassingly-parallel front half and the shuffle
+    back half."""
     from ..stages.imaging import decode_features_batch
-    from ..state.manifest import load_manifest
+    from ..state.manifest import open_checkpoint, skip_done, write_partitioned
 
-    input_token = None
     if checkpoint_dir is not None:
-        input_token = _input_token(images)
-        done = load_manifest(checkpoint_dir)
-        if done:
-            # the prefilter drops rows BEFORE write_partitioned's own
-            # guard could run, so a partition-count or input-identity
-            # mismatch must be refused here, not downstream
-            for rec in done.values():
-                npr = rec.get("num_parts")
-                if npr is not None and npr != checkpoint_parts:
-                    raise ValueError(
-                        f"checkpoint at {checkpoint_dir} was written with "
-                        f"num_parts={npr}, cannot resume with "
-                        f"checkpoint_parts={checkpoint_parts}"
-                    )
-                frags = rec.get("input_fragments")
-                if frags and frags != [input_token]:
-                    # resuming against a different input would silently
-                    # drop every new row hashing into a done partition
-                    raise ValueError(
-                        f"checkpoint at {checkpoint_dir} was written from "
-                        f"a different input ({frags} != "
-                        f"{[input_token]}); use a fresh checkpoint_dir"
-                    )
-            done_ref = ray.put(np.array(sorted(int(k) for k in done), dtype=np.int64))
-
-            def prefilter(t: pa.Table) -> pa.Table:
-                part = (
-                    hash_columns(t, ["image_id"]) % np.uint64(checkpoint_parts)
-                ).astype(np.int64)
-                mask = ~np.isin(part, ray.get(done_ref))
-                return t.filter(pa.array(mask))
-
-            images = images.map_batches(prefilter, batch_format="pyarrow")
+        ck = open_checkpoint(checkpoint_dir, checkpoint_parts, [_input_token(images)])
+        images = skip_done(images, ck)
 
     def enforce_verify(t: pa.Table) -> pa.Table:
         # the input_hint invariant is a GATE, not a report: rows whose
@@ -475,9 +374,6 @@ def flagship_full(
     # write, dedup and rollup exchanges each pay the one-block cost
     joined = coalesce_blocks(joined.materialize())
     if checkpoint_dir is not None:
-        joined = checkpoint_join(
-            joined, checkpoint_dir, num_parts=checkpoint_parts,
-            input_fragments=[input_token],
-        )
+        joined = write_partitioned(joined, ck)
     deduped = dedup_by_phash(joined, salt_hot=True)
     return cell_rollup(deduped)

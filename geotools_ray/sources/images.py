@@ -124,13 +124,6 @@ def decode_image(data: bytes) -> np.ndarray:
     raise NotImplementedError(f"unknown codec tag {data[:4]!r}")
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    mse = np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2)
-    if mse == 0:
-        return float("inf")
-    return float(10.0 * np.log10(255.0**2 / mse))
-
-
 def perceptual_hash(pixels: np.ndarray) -> int:
     """64-bit average-hash of the grayscale image downsampled to 8x8 —
     deterministic, duplicate images share a phash. Accepts (h, w, 3)

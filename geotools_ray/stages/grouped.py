@@ -60,6 +60,12 @@ def hash_columns(t: pa.Table, keys: list[str]) -> np.ndarray:
     return h
 
 
+def hash_parts(t: pa.Table, keys: list[str], num_parts: int) -> np.ndarray:
+    """The partition rule: each row's part in [0, num_parts) as int64,
+    hash_columns(keys) % num_parts."""
+    return (hash_columns(t, keys) % np.uint64(num_parts)).astype(np.int64)
+
+
 def cluster_cpus() -> int | None:
     """CPUs of the connected Ray cluster (8 when it reports none), or
     None before ray.init: how many tasks one wave can run."""
@@ -145,8 +151,7 @@ def grouped_map(
         ds = ds.repartition(P)
 
     def add_part(t: pa.Table) -> pa.Table:
-        part = (hash_columns(t, keys) % np.uint64(P)).astype(np.int64)
-        return t.append_column("_part", pa.array(part))
+        return t.append_column("_part", pa.array(hash_parts(t, keys, P)))
 
     if batch_format == "pyarrow":
 
@@ -218,10 +223,9 @@ def detect_hot_buckets(
     harmless — salting a cold key just splits an already-small group
     (salted output is identical by contract, see test_salting.py)."""
     P = num_parts or default_num_parts()
-    nb = np.uint64(N_BUCKETS)
 
     def hist(t: pa.Table) -> dict:
-        b = (hash_columns(t, keys) % nb).astype(np.int64)
+        b = hash_parts(t, keys, N_BUCKETS)
         counts = np.bincount(b, minlength=N_BUCKETS).astype(np.int64)
         return {"h": counts.reshape(1, N_BUCKETS)}
 
@@ -288,10 +292,9 @@ def salted_grouped_map(
         return grouped_map(ds, keys, both, num_parts=P, batch_format=batch_format)
 
     k = max(8, P // 2)
-    nb = np.uint64(n_buckets)
 
     def add_salt(t: pa.Table) -> pa.Table:
-        b = (hash_columns(t, keys) % nb).astype(np.int64)
+        b = hash_parts(t, keys, n_buckets)
         pos = np.minimum(np.searchsorted(hot, b), len(hot) - 1)
         m = hot[pos] == b
         salt = np.zeros(len(t), dtype=np.int64)

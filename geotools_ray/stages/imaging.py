@@ -51,8 +51,9 @@ def _binary_views(col):
 
 def decode_pixel_stacks(t: pa.Table):
     """Decode every payload in the batch into same-size RGB stacks:
-    -> ({(tag, h, w, ctype): (row_idx, (n, h, w, 3) uint8 stack)},
-        [(row_idx, (h, w, 3) uint8)] singles for foreign codecs).
+    -> {(tag, h, w, ctype): (row_idx, (n, h, w, 3) uint8 stack)}.
+    A payload that is neither PNG nor JPEG raises NotImplementedError
+    (sources.images.decode_image's refusal).
 
     Per-image zlib decompress is irreducible; ALL pixel math runs
     batched per (h, w, fmt) size-group so python touches each image
@@ -65,7 +66,6 @@ def decode_pixel_stacks(t: pa.Table):
     from ..sources import jpegwide as jw
 
     groups: dict[tuple, list] = {}
-    slow: list[tuple[int, bytes]] = []
     jpg_idx: list[int] = []
     jpg_pay: list = []
     for i, d in enumerate(_binary_views(t["bytes"])):
@@ -89,11 +89,9 @@ def decode_pixel_stacks(t: pa.Table):
             jpg_idx.append(i)
             jpg_pay.append(d)
         else:
-            # foreign codec: per-image magic-byte dispatch below —
-            # decode_image raises NotImplementedError for genuinely
-            # unknown tags instead of an opaque zlib.error from a
-            # wrongly-assumed frame layout
-            slow.append((i, bytes(d)))
+            # an unknown tag fails loudly here, not as an opaque
+            # zlib.error from a wrongly-assumed frame layout
+            raise NotImplementedError(f"unknown codec tag {bytes(d[:4])!r}")
     px_groups: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     if jpg_idx:
         decoded = jw.decode_jpeg_batch(jpg_pay)
@@ -128,15 +126,7 @@ def decode_pixel_stacks(t: pa.Table):
         if nch == 1:  # grayscale: replicate to the RGB feature path
             px = np.repeat(px, 3, axis=3)
         px_groups[(tag, h, w, ctype)] = (idx, px)
-    singles = []
-    for i, payload in slow:
-        # foreign formats: per-image magic-byte decode (real JPEG runs
-        # the T.81 decoder)
-        px1 = I.decode_image(payload)
-        if px1.ndim == 2:
-            px1 = np.repeat(px1[:, :, None], 3, axis=2)
-        singles.append((i, px1))
-    return px_groups, singles
+    return px_groups
 
 
 def phash_stack(px: np.ndarray) -> np.ndarray:
@@ -181,8 +171,7 @@ def decode_features_batch(t: pa.Table) -> pa.Table:
     n = len(t)
     mean_rgb = np.empty((n, 3))
     phash = np.empty(n, dtype=np.int64)
-    px_groups, singles = decode_pixel_stacks(t)
-    for (_, h, w, *_), (idx, px) in px_groups.items():
+    for (_, h, w, *_), (idx, px) in decode_pixel_stacks(t).items():
         # int64 channel sums / count == float64 mean bit-for-bit
         # (integer-valued float64 partial sums are exact below 2^53);
         # contiguous per-channel slice sums are ~7x faster than the
@@ -191,14 +180,6 @@ def decode_features_batch(t: pa.Table) -> pa.Table:
             [px[..., c].sum(axis=(1, 2), dtype=np.int64) for c in range(3)], axis=1
         ) / (h * w)
         phash[idx] = phash_stack(px)
-    for i, px1 in singles:
-        # foreign formats: identical feature arithmetic to the
-        # batched path — exact int64 channel sums, perceptual_hash
-        h1, w1 = px1.shape[:2]
-        mean_rgb[i] = [
-            px1[..., c].sum(dtype=np.int64) / (h1 * w1) for c in range(3)
-        ]
-        phash[i] = I.perceptual_hash(px1)
     ok = phash == stored_ph
     out = t.drop_columns(["bytes"])
     out = (
@@ -323,10 +304,7 @@ class ResizeStage:
         n = len(t)
         out_bytes: list = [None] * n
         phash = np.zeros(n, dtype=np.int64)
-        px_groups, singles = decode_pixel_stacks(t)
-        stacks = [(idx, px) for (idx, px) in px_groups.values()]
-        stacks.extend((np.array([i]), px1[None]) for i, px1 in singles)
-        for idx, px in stacks:
+        for idx, px in decode_pixel_stacks(t).values():
             r = resize_bilinear_stack(px, self.out_h, self.out_w)
             if self.fmt == "jpeg":
                 payloads = self._encode_stack(

@@ -3,18 +3,29 @@
 Layout of a checkpointed output:
 
     out_dir/
-      part=<key>/data.parquet      (written via temp + atomic rename)
-      _manifest/<key>.json         (one record per completed partition)
+      part=<k>/data.parquet      (written via temp + atomic rename)
+      _manifest/<k>.json         (one record per completed partition)
 
+where k = hash_columns(image_id) % num_parts: the partition rule of
+every grouped_map exchange (stages/grouped.hash_parts) applied to KEY.
 A manifest record carries the partition's lineage and metrics:
     {partition_key, input_fragments, row_count, byte_count, checksum,
-     status, wall_s}
+     status, wall_s, num_parts}
 
-Resume = anti-join the partition list against the completed manifest
-(load_manifest) and process only the missing keys; a crashed run
-leaves no half-written partition visible because data lands under a
-temp name first (the reference's analog is 'skip outputs that exist',
-src/pointnormalize.cpp:88-91 — this adds integrity + lineage).
+Each checkpoint decision is made once, here:
+- open_checkpoint reads _manifest/ once per run and refuses a
+  checkpoint written with another num_parts or from another input;
+- skip_done is the one done filter: a resumed run drops the rows of
+  done partitions from its RAW input, before any compute on them;
+- write_partitioned writes each remaining partition from exactly one
+  exchange group, in Arrow. It refuses any row of a done partition
+  before it replaces any file, and gives each partition that received
+  no row a record and an empty file with the input's schema.
+
+A crashed run leaves no half-written partition visible, because data
+and record land under temp names first (the reference's analog is
+'skip outputs that exist', src/pointnormalize.cpp:88-91 — this adds
+integrity + lineage).
 """
 
 from __future__ import annotations
@@ -23,10 +34,15 @@ import json
 import os
 import time
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from ..stages import grouped
+
+KEY = ["image_id"]
 
 
 def _manifest_dir(out_dir: str) -> str:
@@ -55,9 +71,58 @@ def load_manifest(out_dir: str) -> dict[str, dict]:
     return out
 
 
-def pending_partitions(out_dir: str, all_keys: list[str]) -> list[str]:
+@dataclass(frozen=True)
+class Checkpoint:
+    """One run's view of a checkpoint: its records as read once at the
+    start of the run (open_checkpoint)."""
+
+    out_dir: str
+    num_parts: int
+    done: dict[str, dict]
+    input_fragments: list[str]
+
+    def in_done(self, t: pa.Table) -> np.ndarray:
+        """Mask of the rows of `t` whose partition is done."""
+        done = np.array([int(k) for k in self.done], dtype=np.int64)
+        return np.isin(grouped.hash_parts(t, KEY, self.num_parts), done)
+
+
+def open_checkpoint(
+    out_dir: str, num_parts: int, input_fragments: list[str] | None = None
+) -> Checkpoint:
+    """Read the manifest at `out_dir` and validate it against this run:
+    a checkpoint written with another num_parts partitions the key
+    space differently, and one written from another input (when
+    `input_fragments` is given) holds done partitions this input's rows
+    also hash into — resuming either would silently drop or duplicate
+    rows, so both are refused."""
     done = load_manifest(out_dir)
-    return [k for k in all_keys if k not in done]
+    for rec in done.values():
+        npr = rec.get("num_parts")
+        if npr is not None and npr != num_parts:
+            raise ValueError(
+                f"checkpoint at {out_dir} was written with num_parts="
+                f"{npr}, cannot resume with num_parts={num_parts}"
+            )
+        frags = rec.get("input_fragments")
+        if input_fragments and frags and frags != input_fragments:
+            raise ValueError(
+                f"checkpoint at {out_dir} was written from a different "
+                f"input ({frags} != {input_fragments}); use a fresh "
+                f"checkpoint dir"
+            )
+    return Checkpoint(out_dir, num_parts, done, list(input_fragments or []))
+
+
+def skip_done(ds, ck: Checkpoint):
+    """`ds` without the rows of `ck`'s done partitions (`ds` itself on a
+    fresh checkpoint). Partition ids derive from image_id alone, so
+    this runs on the raw input, before any compute on those rows."""
+    if not ck.done:
+        return ds
+    return ds.map_batches(
+        lambda t: t.filter(pa.array(~ck.in_done(t))), batch_format="pyarrow"
+    )
 
 
 def table_checksum(t: pa.Table) -> int:
@@ -71,34 +136,26 @@ def table_checksum(t: pa.Table) -> int:
     return int(zlib.crc32(h.tobytes()))
 
 
-def write_partition(
-    out_dir: str,
-    key: str,
-    table: pa.Table,
-    input_fragments: list[str] | None = None,
-    extra_meta: dict | None = None,
-) -> dict:
+def write_partition(ck: Checkpoint, key: str, table: pa.Table) -> None:
     """Atomically write one partition + its manifest record."""
     t0 = time.time()
-    pdir = os.path.join(out_dir, f"part={key}")
+    pdir = os.path.join(ck.out_dir, f"part={key}")
     os.makedirs(pdir, exist_ok=True)
     tmp = os.path.join(pdir, f".tmp-{os.getpid()}-{int(t0 * 1e6)}.parquet")
     pq.write_table(table, tmp)
-    final = os.path.join(pdir, "data.parquet")
-    os.replace(tmp, final)
+    os.replace(tmp, os.path.join(pdir, "data.parquet"))
 
     rec = {
         "partition_key": key,
-        "input_fragments": input_fragments or [],
+        "input_fragments": ck.input_fragments,
         "row_count": table.num_rows,
         "byte_count": table.nbytes,
         "checksum": table_checksum(table),
         "status": "done",
         "wall_s": round(time.time() - t0, 4),
+        "num_parts": ck.num_parts,
     }
-    if extra_meta:
-        rec.update(extra_meta)
-    mdir = _manifest_dir(out_dir)
+    mdir = _manifest_dir(ck.out_dir)
     os.makedirs(mdir, exist_ok=True)
     # temp name: no .json suffix (load_manifest must never pick up a
     # partial write) and uniquified per writer (a re-executed task must
@@ -107,98 +164,51 @@ def write_partition(
     with open(mtmp, "w") as fh:
         json.dump(rec, fh)
     os.replace(mtmp, os.path.join(mdir, f"{key}.json"))
-    return rec
 
 
-def write_partitioned(
-    ds,
-    out_dir: str,
-    key_fn,
-    num_parts: int,
-    input_fragments: list[str] | None = None,
-    resume: bool = True,
-):
-    """Write a Dataset as `num_parts` hash partitions with manifests;
-    on resume, completed partitions are skipped BEFORE any compute on
-    their rows (the filter runs at the first map stage).
+def write_partitioned(ds, ck: Checkpoint):
+    """Write the rows of `ds` as `ck`'s partitions, each with its
+    record, and return every row of the checkpoint: `ds` itself on a
+    fresh checkpoint, else the read of the partitions done before this
+    run plus `ds`.
 
-    key_fn(table) -> int64 array of partition ids in [0, num_parts).
-    Returns the list of manifest records written this run.
-    """
-    import pandas as pd
-    import ray
-
-    from ..stages.grouped import grouped_map
-
-    prior = load_manifest(out_dir)
-    # a checkpoint written with a different num_parts partitions the
-    # key space differently — resuming against it silently drops or
-    # duplicates rows, so refuse loudly
-    for rec in prior.values():
-        np_rec = rec.get("num_parts")
-        if np_rec is not None and np_rec != num_parts:
+    The exchange is grouped_map over KEY, so each exchange group is
+    exactly one partition, written from its Arrow table as is. `ds`
+    must hold no row of a done partition (skip_done drops them
+    upstream): on a resumed checkpoint one pass counts such rows, and
+    any is refused before a file is written. Partitions that received
+    ZERO rows still get a done record and an empty data file with
+    `ds`'s schema: the full input has been processed once the exchange
+    completes, so an absent group is genuinely empty — without the
+    record, resume would re-decode its inputs on every rerun."""
+    if ck.done:
+        again = sum(r["n"] for r in ds.map_batches(
+            lambda t: pa.table({"n": [int(ck.in_done(t).sum())]}),
+            batch_format="pyarrow",
+        ).take_all())
+        if again:
             raise ValueError(
-                f"checkpoint at {out_dir} was written with num_parts="
-                f"{np_rec}, cannot resume with num_parts={num_parts}"
+                f"checkpoint at {ck.out_dir}: {again} rows fall in partitions "
+                f"done before this run; they must not be passed in again"
             )
-    done = set(prior) if resume else set()
-    done_ids = {int(k) for k in done}
-    done_ref = ray.put(done_ids)
 
-    def assign(t: pa.Table) -> pa.Table:
-        part = np.asarray(key_fn(t), dtype=np.int64)
-        t = t.append_column("_pkey", pa.array(part))
-        skip = ray.get(done_ref)
-        if skip:
-            mask = ~np.isin(part, list(skip))
-            t = t.filter(pa.array(mask))
-        return t
+    def write(t: pa.Table) -> pa.Table:
+        key = str(int(grouped.hash_parts(t.slice(0, 1), KEY, ck.num_parts)[0]))
+        write_partition(ck, key, t)
+        return pa.table({"partition_key": [key]})
 
-    keyed = ds.map_batches(assign, batch_format="pyarrow")
-
-    meta = {"num_parts": num_parts}
-
-    def write(df: pd.DataFrame) -> pd.DataFrame:
-        recs = []
-        for k, g in df.groupby("_pkey", sort=False):
-            t = pa.Table.from_pandas(g.drop(columns=["_pkey"]), preserve_index=False)
-            rec = write_partition(out_dir, str(int(k)), t, input_fragments, meta)
-            recs.append(
-                {
-                    "partition_key": rec["partition_key"],
-                    "row_count": rec["row_count"],
-                    "byte_count": rec["byte_count"],
-                    "checksum": rec["checksum"],
-                }
-            )
-        return pd.DataFrame(
-            recs, columns=["partition_key", "row_count", "byte_count", "checksum"]
-        )
-
-    out = grouped_map(keyed, ["_pkey"], write, num_parts=num_parts).to_pandas()
-
-    # partitions that received ZERO rows still get a done record (and
-    # an empty data file carrying the schema): the full input has been
-    # processed by the time the shuffle above completes, so an absent
-    # group is genuinely empty — without the record, resume would
-    # re-decode its inputs on every rerun
-    have = set(load_manifest(out_dir))
-    missing = [i for i in range(num_parts) if str(i) not in have]
+    written = {r["partition_key"] for r in grouped.grouped_map(
+        ds, KEY, write, num_parts=ck.num_parts, batch_format="pyarrow",
+    ).take_all()}
+    missing = [k for k in map(str, range(ck.num_parts)) if k not in written and k not in ck.done]
     if missing:
-        schema = None
-        if os.path.isdir(out_dir):
-            for d in sorted(os.listdir(out_dir)):
-                p = os.path.join(out_dir, d, "data.parquet")
-                if d.startswith("part=") and os.path.exists(p):
-                    schema = pq.read_schema(p)
-                    break
-        if schema is None:
-            sch = ds.schema()
-            schema = getattr(sch, "base_schema", sch)
-        empty = pa.Table.from_pylist([], schema=schema)
-        for i in missing:
-            write_partition(out_dir, str(i), empty, input_fragments, meta)
-    return out
+        sch = ds.schema()
+        empty = pa.Table.from_pylist([], schema=getattr(sch, "base_schema", sch))
+        for k in missing:
+            write_partition(ck, k, empty)
+    if not ck.done:
+        return ds
+    return read_partitioned(ck.out_dir, list(ck.done)).union(ds)
 
 
 def read_partitioned(out_dir: str, keys: list[str] | None = None):

@@ -72,6 +72,20 @@ def test_exact_dedup(ray_session):
     assert len(out) == 5
     assert list(out["v"]) == [f"r{i:03d}" for i in range(5)]
 
+    # string keys (one of them null) and a descending int order: the
+    # least order value per key wins, whatever the input order
+    keys = ["b", "a", None, "c"]
+    rows = [{"s": keys[i % 4], "n": i % 3, "o": 100 - i} for i in range(48)]
+    ds = ray.data.from_items(rows).repartition(3)
+    out = exact_dedup(ds, ["s", "n"], "o", num_parts=4).to_pandas()
+    got = {(r.s, r.n): r.o for r in out.itertuples()}
+    want = {}
+    for r in rows:
+        k = (r["s"], r["n"])
+        want[k] = min(want.get(k, r["o"]), r["o"])
+    assert len(out) == len(want) == 12
+    assert got == want
+
 
 def test_connected_components_driver_equals_distributed(ray_session):
     """The small-side union-find and the distributed min-label rounds

@@ -1,5 +1,6 @@
 import numpy as np
 
+from geotools_ray.sources import codecs as C
 from geotools_ray.sources import images as I
 
 
@@ -19,7 +20,7 @@ def test_jpeg_lossy_psnr_over_40db():
         data = I.encode_image(px, "jpeg")
         assert data[:2] == b"\xff\xd8"  # real JPEG, not a stand-in
         dec = I.decode_image(data)
-        assert I.psnr(px, dec) >= 40.0
+        assert C.psnr(px, dec) >= 40.0
         assert not (dec == px).all()  # genuinely lossy
 
 
@@ -29,7 +30,7 @@ def test_jpeg_q98_holds_gate_on_noise():
     rng = np.random.RandomState(1)
     px = rng.randint(0, 256, size=(32, 32, 3)).astype(np.uint8)
     dec = I.decode_image(I.encode_image(px, "jpeg_real"))
-    assert I.psnr(px, dec) >= 40.0
+    assert C.psnr(px, dec) >= 40.0
 
 
 def test_image_rows_matches_scalar_oracle():
@@ -105,7 +106,7 @@ def test_fixture_carries_web_corpus_layout_mix():
         h = int(I.SIZES[rng.randint(len(I.SIZES))])
         src = I.synth_pixels(rng, h, w)
         dec = I.decode_image(data)
-        assert I.psnr(src, dec) >= 33.0, row["image_id"]
+        assert C.psnr(src, dec) >= 33.0, row["image_id"]
         l1 = 0.299 * src[..., 0].astype(float) + 0.587 * src[..., 1] + 0.114 * src[..., 2]
         l2 = 0.299 * dec[..., 0].astype(float) + 0.587 * dec[..., 1] + 0.114 * dec[..., 2]
         mse = np.mean((l1 - l2) ** 2)

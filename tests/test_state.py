@@ -8,9 +8,28 @@ import pyarrow as pa
 import pytest
 
 
-# lambda (pickled by value) — a top-level test-module function would be
-# pickled by reference and fail to import on workers
-_key_fn = lambda t: t["k"].to_numpy(zero_copy_only=False) % 4  # noqa: E731
+def _id_rows(n: int, parts=None, num_parts: int = 4) -> list[dict]:
+    """Rows (image_id, v) of n candidate ids, only those whose
+    checkpoint partition is in `parts` when it is given."""
+    from geotools_ray.stages.grouped import hash_parts
+
+    ids = pa.table({"image_id": [f"img{i:05d}" for i in range(n)]})
+    part = hash_parts(ids, ["image_id"], num_parts)
+    return [
+        {"image_id": s, "v": float(i) * 1.5}
+        for i, (s, p) in enumerate(zip(ids["image_id"].to_pylist(), part))
+        if parts is None or p in parts
+    ]
+
+
+def _files(d: str) -> dict[str, bytes]:
+    """Every file under d, by relative path, with its bytes."""
+    out = {}
+    for root, _, names in os.walk(d):
+        for f in names:
+            with open(os.path.join(root, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(root, f), d)] = fh.read()
+    return out
 
 
 def test_write_resume_and_lineage(ray_session, tmp_path):
@@ -18,41 +37,101 @@ def test_write_resume_and_lineage(ray_session, tmp_path):
 
     from geotools_ray.state.manifest import (
         load_manifest,
-        pending_partitions,
+        open_checkpoint,
         read_partitioned,
+        skip_done,
         write_partitioned,
     )
 
     out = str(tmp_path / "ckpt")
-    rows = [{"k": i, "v": float(i) * 1.5} for i in range(1000)]
+    rows = _id_rows(1000)
     ds = ray.data.from_items(rows)
-    recs = write_partitioned(ds, out, _key_fn, num_parts=4, input_fragments=["frag-a"])
-    assert len(recs) == 4
+    assert write_partitioned(ds, open_checkpoint(out, 4, ["frag-a"])).count() == 1000
     man = load_manifest(out)
     assert set(man) == {"0", "1", "2", "3"}
     assert sum(r["row_count"] for r in man.values()) == 1000
     assert all(r["input_fragments"] == ["frag-a"] for r in man.values())
+    assert all(r["num_parts"] == 4 and r["status"] == "done" for r in man.values())
 
     # full roundtrip
-    back = read_partitioned(out).to_pandas().sort_values("k").reset_index(drop=True)
+    back = read_partitioned(out).to_pandas()
     assert len(back) == 1000
     assert back["v"].sum() == pytest.approx(sum(r["v"] for r in rows))
 
     # simulate a crashed partition: delete part 2 + its manifest
     shutil.rmtree(os.path.join(out, "part=2"))
     os.remove(os.path.join(out, "_manifest", "2.json"))
-    assert pending_partitions(out, ["0", "1", "2", "3"]) == ["2"]
+    before = _files(out)
 
-    # resume: only partition 2 is rewritten
-    recs2 = write_partitioned(ray.data.from_items(rows), out, _key_fn, num_parts=4)
-    assert list(recs2["partition_key"]) == ["2"]
+    # resume: only partition 2 is rewritten, the rest byte for byte kept
+    ck = open_checkpoint(out, 4, ["frag-a"])
+    assert sorted(ck.done) == ["0", "1", "3"]
+    back2 = write_partitioned(skip_done(ray.data.from_items(rows), ck), ck)
+    after = _files(out)
+    assert {k: v for k, v in after.items() if k in before} == before
+    assert sorted(set(after) - set(before)) == ["_manifest/2.json", "part=2/data.parquet"]
     man2 = load_manifest(out)
     assert set(man2) == {"0", "1", "2", "3"}
     # checksums stable across runs (content-addressed lineage)
     assert man2["2"]["checksum"] == man["2"]["checksum"]
+    assert man2["2"]["input_fragments"] == ["frag-a"]
 
-    back2 = read_partitioned(out).to_pandas()
-    assert len(back2) == 1000
+    assert back2.count() == 1000
+    assert len(read_partitioned(out).to_pandas()) == 1000
+
+
+def test_checkpoint_partitions_by_image_id_hash(ray_session, tmp_path):
+    """Every row under part=<k> has hash_columns(image_id) % P == k:
+    the rule perfbench's resume counts recompute from the input."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from geotools_ray.ops import imagepipeline as IP
+    from geotools_ray.sources import images as I
+    from geotools_ray.stages.grouped import hash_columns
+
+    joined = IP.assign_and_join(ray.data.from_arrow(I.generate_image_table(600, seed=7)))
+    joined = joined.materialize()
+    ck = str(tmp_path / "ck")
+    IP.checkpoint_join(joined, ck)
+    parts = sorted(d for d in os.listdir(ck) if d.startswith("part="))
+    assert len(parts) == 32
+    seen = 0
+    for d in parts:
+        t = pq.read_table(os.path.join(ck, d, "data.parquet"))
+        k = int(d[len("part="):])
+        assert ((hash_columns(t, ["image_id"]) % np.uint64(32)) == k).all(), d
+        seen += len(t)
+    assert seen == joined.count() > 0
+
+
+def test_checkpointed_flagship_reads_the_manifest_once(ray_session, tmp_path, monkeypatch):
+    """One checkpointed flagship_full run, fresh or resumed, reads
+    _manifest/ once: the validation, the done filter and the write all
+    use that one read."""
+    import ray.data
+
+    from geotools_ray.ops import imagepipeline as IP
+    from geotools_ray.sources import images as I
+    from geotools_ray.state import manifest
+
+    calls = []
+    load = manifest.load_manifest
+
+    def counted(out_dir):
+        calls.append(out_dir)
+        return load(out_dir)
+
+    monkeypatch.setattr(manifest, "load_manifest", counted)
+    t = I.generate_image_table(600, seed=7)
+    ck = str(tmp_path / "ck")
+    ref = _canon(IP.flagship_full(ray.data.from_arrow(t), checkpoint_dir=ck, checkpoint_parts=8))
+    assert calls == [ck]
+    os.remove(os.path.join(ck, "_manifest", "3.json"))
+    calls.clear()
+    out = _canon(IP.flagship_full(ray.data.from_arrow(t), checkpoint_dir=ck, checkpoint_parts=8))
+    assert calls == [ck]
+    assert out.equals(ref)
 
 
 def test_flagship_checkpoint_kill_and_resume(ray_session, tmp_path):
@@ -186,11 +265,11 @@ def _drop_data_files_after_write(monkeypatch):
 
     write = manifest.write_partitioned
 
-    def write_then_drop(ds, out_dir, *a, **kw):
-        recs = write(ds, out_dir, *a, **kw)
-        for f in glob.glob(os.path.join(out_dir, "part=*", "data.parquet")):
+    def write_then_drop(ds, ck):
+        rows = write(ds, ck)
+        for f in glob.glob(os.path.join(ck.out_dir, "part=*", "data.parquet")):
             os.remove(f)
-        return recs
+        return rows
 
     monkeypatch.setattr(manifest, "write_partitioned", write_then_drop)
 
@@ -229,8 +308,8 @@ def test_flagship_fresh_checkpoint_is_not_read_back(ray_session, tmp_path, monke
 def test_checkpoint_join_refuses_rows_of_done_partitions(ray_session, tmp_path):
     """checkpoint_join returns old + new partitions without reading the
     new ones back, so rows that fall into a partition done before the
-    call would be counted twice: the records written must count every
-    row passed in, or it raises."""
+    call would be counted twice: such rows are refused before any file
+    is replaced, so every data file and record stays byte for byte."""
     import ray.data
 
     from geotools_ray.ops import imagepipeline as IP
@@ -241,8 +320,12 @@ def test_checkpoint_join_refuses_rows_of_done_partitions(ray_session, tmp_path):
     ck = str(tmp_path / "ck")
     back = IP.checkpoint_join(joined, ck, num_parts=4)
     assert back.count() == joined.count()
+    os.remove(os.path.join(ck, "_manifest", "1.json"))
+    before = _files(ck)
+    assert "part=0/data.parquet" in before and "_manifest/0.json" in before
     with pytest.raises(ValueError, match="must not be passed in again"):
         IP.checkpoint_join(joined, ck, num_parts=4)
+    assert _files(ck) == before
 
 
 def test_flagship_exchanges_see_one_block(ray_session, tmp_path, monkeypatch):
@@ -310,33 +393,29 @@ def test_manifest_crash_debris_and_empty_partitions(ray_session, tmp_path):
     never break load_manifest; (b) partitions receiving zero rows get
     done records + empty data files so resume skips their inputs;
     (c) resuming with a different num_parts is refused loudly."""
-    import json
-
+    import pyarrow.parquet as pq
     import ray.data
 
     from geotools_ray.state.manifest import (
         load_manifest,
+        open_checkpoint,
         read_partitioned,
+        skip_done,
         write_partitioned,
     )
 
     out = str(tmp_path / "ckpt")
-    # keys only hash to parts {0, 2} of 4 -> parts 1 and 3 are empty
-    rows = [{"k": i * 2, "v": float(i)} for i in range(100)]
-
-    def key4(t):
-        import numpy as np
-
-        return (t["k"].to_numpy(zero_copy_only=False) % 4).astype("int64")
-
-    write_partitioned(ray.data.from_items(rows), out, key4, num_parts=4)
+    # ids only in parts {0, 2} of 4 -> parts 1 and 3 are empty
+    rows = _id_rows(200, parts=(0, 2))
+    write_partitioned(ray.data.from_items(rows), open_checkpoint(out, 4))
     man = load_manifest(out)
     assert set(man) == {"0", "1", "2", "3"}
     assert man["1"]["row_count"] == 0 and man["3"]["row_count"] == 0
     assert man["0"]["num_parts"] == 4
-    # empty partitions carry the schema on disk
+    # empty partitions carry the input's schema on disk
+    assert pq.read_schema(os.path.join(out, "part=1", "data.parquet")).names == ["image_id", "v"]
     back = read_partitioned(out).to_pandas()
-    assert len(back) == 100 and set(back.columns) == {"k", "v"}
+    assert len(back) == len(rows) and set(back.columns) == {"image_id", "v"}
 
     # crash debris: a partial temp write and a corrupt record
     mdir = os.path.join(out, "_manifest")
@@ -348,12 +427,14 @@ def test_manifest_crash_debris_and_empty_partitions(ray_session, tmp_path):
     assert set(man2) == {"0", "1", "2", "3"}  # debris skipped, no crash
 
     # a rerun writes nothing new (all four partitions are done)
-    recs = write_partitioned(ray.data.from_items(rows), out, key4, num_parts=4)
-    assert len(recs) == 0
+    before = _files(out)
+    ck = open_checkpoint(out, 4)
+    assert write_partitioned(skip_done(ray.data.from_items(rows), ck), ck).count() == len(rows)
+    assert _files(out) == before
 
     # num_parts mismatch is refused
     with pytest.raises(ValueError, match="num_parts"):
-        write_partitioned(ray.data.from_items(rows), out, key4, num_parts=8)
+        open_checkpoint(out, 8)
 
 
 def _contained(t: pa.Table) -> np.ndarray:
