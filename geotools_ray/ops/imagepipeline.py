@@ -292,12 +292,14 @@ def checkpoint_join(
 def flagship_full(
     images: ray.data.Dataset,
     level: int = DEFAULT_LEVEL,
-    # 2048: the v5 mixed-layout corpus fragments each batch into ~12
-    # (size x sampling) decode groups, and the bigger batch restores
-    # their amortization — equal at best epochs, ~10% better at
-    # contended ones (interleaved A/B: 1024 = [19.1, 16.8] s,
-    # 2048 = [17.1, 16.7] s)
-    decode_batch_size: int = 2048,
+    # 8192 input rows per decode task: ~42% of them match a polygon
+    # and about half of those are JPEG, so one decode call runs ~1,700
+    # JPEGs through ONE wide entropy pass, whose cost is set by its
+    # longest restart segment, not its lane count (sources/jpegwide).
+    # 2048 gave ~430 JPEGs per pass: 0.30 ms/img against 0.23 at
+    # 1,700 on one CPU. One task for the whole input (16,384, IDCT
+    # unchunked) raised peak memory 16-27%.
+    decode_batch_size: int = 8192,
     checkpoint_dir: str | None = None,
     checkpoint_parts: int = 32,
 ) -> ray.data.Dataset:
@@ -312,14 +314,12 @@ def flagship_full(
     one-CPU node: ReadParquet->SplitBlocks(11) runs as its own
     operator (4 tasks, 44 blocks, 43 MB), so the payload bytes DO
     cross the object store once. keep_matched, the decode, the verify
-    gate and the join then fuse into ONE operator of 8 tasks (one per
-    ~2,048 input rows; ~860 matched rows decode in each) whose output
-    is only the narrow join (8,176 rows, 0.35 MB). Re-bundling the
-    matched rows into full 2,048-row decode batches (an unfused
-    filter operator ahead of the decode) measured within noise of
-    this plan, so the filter stays fused. The join is then
-    materialized and merged to one block per MiB (coalesce_blocks)
-    before its exchanges.
+    gate and the join then fuse into ONE operator of 2 tasks (one per
+    `decode_batch_size` = 8,192 input rows; ~3,400 matched rows, ~1,700
+    of them JPEG, decode in one call each) whose output is only the
+    narrow join (8,176 rows, 0.35 MB). The join is then materialized
+    and merged to one block per MiB (coalesce_blocks) before its
+    exchanges.
 
     With `checkpoint_dir` the join output is checkpointed through the
     resumable manifest store (state/manifest): hash-partitioned by
@@ -370,7 +370,7 @@ def flagship_full(
     # directly after the heavy fused decode-map very poorly (measured
     # 6x slowdown at 8 cpus: 97 s lazy vs 16 s materialized; 22.5 s ->
     # 13.0 s on the 2M-image headline). It arrives as one small block
-    # per decode task (8 of 16-50 KB at 16,384 images); coalesced, the
+    # per decode task (2 of ~175 KB at 16,384 images); coalesced, the
     # write, dedup and rollup exchanges each pay the one-block cost
     joined = coalesce_blocks(joined.materialize())
     if checkpoint_dir is not None:

@@ -18,8 +18,9 @@ Both directions are covered:
 
   decode_jpeg_batch(payloads) -> list of uint8 pixel arrays,
       bit-identical to codecs.decode_jpeg on every supported file
-      (baseline, 8-bit, 4:4:4 or grayscale, with or without restart
-      markers; mixed sizes/tables within one batch are fine).
+      (baseline, 8-bit, any sampling factors or grayscale, with or
+      without restart markers; mixed sizes/tables within one batch
+      are fine; progressive payloads take the scalar Annex G decoder).
 
   encode_jpeg_stack(pixels, quality, restart_interval) -> list[bytes]
       for a (n, h, w[, 3]) same-size stack, byte-identical to
@@ -214,39 +215,43 @@ def _parse_cached(data) -> _Meta:
     return m
 
 
-def decode_jpeg_batch(payloads, _chunk: int = 512) -> list[np.ndarray]:
-    """Decode a batch of baseline JPEGs with one vectorized entropy
-    state machine over all restart segments of all images at once.
-    Bit-identical to codecs.decode_jpeg per payload.
+# Images per dequantize + IDCT + assembly chunk. Only the entropy pass
+# spans the whole call; the float64 pixel math after it runs over row
+# slices of the coefficients, which bounds its temporaries. On 1,700
+# v5 JPEGs the call takes the same time at 128 to 1,024 images per
+# chunk (0.53-0.58 s), while its traced peak is 41 MB at 256, 56 MB
+# at 512 and 69 MB at 1,024.
+_IDCT_CHUNK = 256
 
-    Batches beyond ~_chunk images decode in internal chunks: the
-    entropy scatter target (coef_flat) and refill buffers grow with
-    the batch and fall out of cache — measured optimum is ~512 images
-    per wide pass (0.35 ms/img vs 0.65 at 4096)."""
-    nimg = len(payloads)
-    if nimg == 0:
-        return []
-    if nimg > _chunk + _chunk // 2:
-        out: list = []
-        for s in range(0, nimg, _chunk):
-            out.extend(decode_jpeg_batch(payloads[s : s + _chunk], _chunk))
-        return out
-    # progressive detect-and-route: SOF2 payloads go to the scalar
-    # Annex G decoder; the baseline remainder stays on the wide machine
+
+def decode_jpeg_batch(payloads) -> list[np.ndarray]:
+    """Decode a batch of JPEGs, bit-identical to codecs.decode_jpeg
+    per payload.
+
+    Every baseline payload of the call runs through ONE vectorized
+    entropy state machine over all of their restart segments at once
+    (_entropy_pass). A pass costs about one vector step per symbol of
+    its longest segment, whatever its lane count, so the wider the
+    pass, the cheaper each image: on v5-corpus JPEGs, one CPU, 0.30
+    ms/img at 430 images per call, 0.23 at 1,700 and 0.20 at 3,200
+    (entropy alone 0.12, 0.07 and 0.05). Dequantize + IDCT +
+    assembly then run per _IDCT_CHUNK images. Progressive (SOF2)
+    payloads take the scalar Annex G decoder. A corrupt stream raises
+    ValueError naming its positions in `payloads`."""
+    out: list = [None] * len(payloads)
     metas: list[_Meta] = []
+    pos: list[int] = []  # caller position of each baseline payload
     prog: dict[int, object] = {}
     for ii, data in enumerate(payloads):
         try:
             metas.append(_parse_cached(data))
+            pos.append(ii)
         except ProgressiveJpeg:
             prog[ii] = data
-            metas.append(None)
+    if metas:
+        for ii, px in zip(pos, _decode_baseline(metas, pos)):
+            out[ii] = px
     if prog:
-        keep = [i for i in range(nimg) if i not in prog]
-        sub = decode_jpeg_batch([payloads[i] for i in keep], _chunk) if keep else []
-        merged: list = [None] * nimg
-        for j, i in enumerate(keep):
-            merged[i] = sub[j]
         # per-image scalar decode for the progressive subset: a batched
         # dequant+IDCT+assembly finisher (stream-order regather through
         # _assemble_outputs) was built and MEASURED SLOWER on the
@@ -255,9 +260,16 @@ def decode_jpeg_batch(payloads, _chunk: int = 512) -> list[np.ndarray]:
         # 16-64 px block counts), so the simple path stays
         from .jpegprog import decode_progressive
 
-        for i, d in prog.items():
-            merged[i] = decode_progressive(bytes(d))
-        return merged
+        for ii, data in prog.items():
+            out[ii] = decode_progressive(bytes(data))
+    return out
+
+
+def _decode_baseline(metas: list[_Meta], pos: list[int]) -> list[np.ndarray]:
+    """The wide path of decode_jpeg_batch over parsed baseline
+    headers; pos[i] is metas[i]'s position in the caller's batch, for
+    error messages."""
+    nimg = len(metas)
     # registries: identical Huffman/quant tables across images share
     # one stacked LUT row (the bulk table is all Annex K — 4 tables)
     tab_key2idx: dict = {}
@@ -282,8 +294,7 @@ def decode_jpeg_batch(payloads, _chunk: int = 512) -> list[np.ndarray]:
         return i
 
     spans: list[bytes] = []
-    for ii, data in enumerate(payloads):
-        m = metas[ii]
+    for ii, m in enumerate(metas):
         hmax = max(H for H, _ in m.hv)
         vmax = max(V for _, V in m.hv)
         nmcu = (-(-m.h // (8 * vmax))) * (-(-m.w // (8 * hmax)))
@@ -323,17 +334,18 @@ def decode_jpeg_batch(payloads, _chunk: int = 512) -> list[np.ndarray]:
     nxt = arr[ff + 1]
     stuffed = ff[nxt == 0x00] + 1
     rstp = ff[(nxt >= 0xD0) & (nxt <= 0xD7)]
+    # stuffed 0x00, marker 0xFF and 0xDn bytes: disjoint positions
+    dropped = np.concatenate([stuffed, rstp, rstp + 1])
     keep = np.ones(N, dtype=bool)
-    keep[stuffed] = False
-    keep[rstp] = False
-    keep[np.minimum(rstp + 1, N - 1)] = False
+    keep[dropped] = False
     starts = np.unique(np.concatenate([[0], rstp + 2, img_off[1:nimg]]))
     starts = starts[starts < N] if N else starts[:1]
     L = len(starts)
-    brk = np.zeros(max(N, 1), dtype=np.int64)
-    brk[starts[1:]] = 1
-    sid = np.cumsum(brk)[keep] if N else np.zeros(0, dtype=np.int64)
-    seg_bytes = np.bincount(sid, minlength=L).astype(np.int64)
+    # a segment's bytes: its span less the stuffing and marker bytes in
+    # it (counted per dropped byte, so no per-byte int64 temporaries)
+    seg_bytes = np.diff(np.append(starts, N)) - np.bincount(
+        np.searchsorted(starts, dropped, side="right") - 1, minlength=L
+    )
     seg_img_a = np.searchsorted(img_off[1 : nimg + 1], starts, side="right")
     # validate restart-segment counts per image
     seg_counts = np.bincount(seg_img_a, minlength=nimg)
@@ -341,7 +353,7 @@ def decode_jpeg_batch(payloads, _chunk: int = 512) -> list[np.ndarray]:
     if not np.array_equal(seg_counts, need):
         bad = int(np.flatnonzero(seg_counts != need)[0])
         raise ValueError(
-            f"JPEG restart segments: image {bad} has {int(seg_counts[bad])},"
+            f"JPEG restart segments: image {pos[bad]} has {int(seg_counts[bad])},"
             f" expected {int(need[bad])}"
         )
     # MCUs per segment: full DRI intervals, remainder in the last
@@ -362,10 +374,53 @@ def decode_jpeg_batch(payloads, _chunk: int = 512) -> list[np.ndarray]:
     np.cumsum(nblk_lane[:-1], out=block_base[1:])
     total_blocks = int(nblk_lane.sum())
 
-    # stacked decode LUT: (ntab, 65536) packed (len<<8)|sym rows
-    SL = np.stack(tab_rows).astype(np.int64)
+    # int32 coefficients: |AC| <= 1023, DC prediction sums stay far
+    # below 2^31 for any lane length — 2x less scatter-write memory
+    # than int64 (the scatter over coef_flat is the cache-miss hot
+    # spot at large batch sizes)
+    coef_flat = np.zeros(total_blocks * 64, dtype=np.int32)
+    err_imgs = _entropy_pass(
+        coef_flat, BUF, seg_off, block_base, nblk_lane, PAT[seg_img_a],
+        bpm_lane, img_dc[seg_img_a], img_ac[seg_img_a],
+        np.stack(tab_rows).astype(np.int64), seg_img_a,
+    )
+    if err_imgs:
+        raise ValueError(
+            "invalid JPEG entropy stream in batch images "
+            f"{sorted(pos[i] for i in err_imgs)}"
+        )
 
-    # ---- the wide state machine ----
+    # ---- dequantize + IDCT + assembly, per chunk of whole images:
+    # each image's blocks are contiguous in coef_flat from its base ----
+    QTN = np.empty((len(qt_rows), 64))  # natural-order dequant rows
+    QTN[:, _ZZ] = np.stack(qt_rows)
+    img_base = np.append(block_base[first_seg], total_blocks)
+    coef = coef_flat.reshape(total_blocks, 64)
+    img_qpat = [tuple(int(img_qt[ii, ci]) for ci in pats[ii]) for ii in range(nimg)]
+    shapes = [(m.h, m.w, m.ncomp, m.hv) for m in metas]
+    out: list = []
+    for s in range(0, nimg, _IDCT_CHUNK):
+        e = min(s + _IDCT_CHUNK, nimg)
+        b0 = img_base[s]
+        spat = _dequant_idct(coef[b0 : img_base[e]], img_qpat[s:e], img_nmcu[s:e], QTN)
+        out.extend(_assemble_outputs(spat, img_base[s:e] - b0, shapes[s:e]))
+    return out
+
+
+def _entropy_pass(coef_flat, BUF, seg_off, block_base, nblk_lane, PATL, bpml,
+                  DCT, ACT, SL, lane_img) -> set[int]:
+    """The wide Huffman state machine: decode every restart segment
+    (lane) of a batch at once into coef_flat (natural-order int32
+    coefficients, 64 per block, lane l's blocks from block_base[l]).
+
+    Per lane: its bytes BUF[seg_off[l]:seg_off[l + 1]] (unstuffed,
+    markers removed; BUF carries an 8-byte 0xFF pad), nblk_lane[l]
+    blocks, the MCU's component pattern PATL[l, :bpml[l]], DC/AC table
+    rows per component DCT[l]/ACT[l] into the stacked LUT SL ((ntab,
+    65536) packed (len << 8) | sym rows), and its image lane_img[l].
+    -> the set of images some lane of which did not consume exactly
+    its segment's bits (corrupt or truncated)."""
+    L = len(block_base)
     # One Huffman symbol per live lane per vector step. State lives in
     # DENSE arrays that are physically compacted as lanes finish (no
     # index indirection on the hot path), and each lane carries a
@@ -378,29 +433,21 @@ def decode_jpeg_batch(payloads, _chunk: int = 512) -> list[np.ndarray]:
 
     seg_start = seg_off[:L].copy()
     bp_byte = seg_off[:L].copy()  # next unread byte (global offset)
-    seg_bits = seg_bytes * 8
+    seg_bits = np.diff(seg_off) * 8
     acc = np.zeros(L, dtype=np.int64)
     nacc = np.zeros(L, dtype=np.int64)
     blk_rem = nblk_lane.copy()
     kk = np.zeros(L, dtype=np.int64)
     # MCU block pattern per lane: comp = PATL[lane, pat_pos], pat_pos
     # cycling mod bpm — the 4:4:4 case degenerates to [0, 1, 2]
-    PATL = PAT[seg_img_a]  # (L, max_bpm)
-    bpml = bpm_lane.copy()
     pat_pos = np.zeros(L, dtype=np.int64)
     comp = PATL[:, 0].copy()
     row = block_base.copy()  # current global block row
     dcpred = np.zeros((L, 3), dtype=np.int64)
-    DCT = img_dc[seg_img_a].astype(np.int64)  # (L, 3)
-    ACT = img_ac[seg_img_a].astype(np.int64)
+    DCT = DCT.astype(np.int64)  # (L, 3)
+    ACT = ACT.astype(np.int64)
     cur_dc = DCT[np.arange(L), comp].copy()
     cur_ac = ACT[np.arange(L), comp].copy()
-    lane_img = seg_img_a.copy()
-    # int32 coefficients: |AC| <= 1023, DC prediction sums stay far
-    # below 2^31 for any lane length — 2x less scatter-write memory
-    # than int64 (the scatter over coef_flat is the cache-miss hot
-    # spot at large batch sizes)
-    coef_flat = np.zeros(total_blocks * 64, dtype=np.int32)
     err_imgs: set[int] = set()
 
     # Lanes finish at different times. Physically compacting on EVERY
@@ -515,62 +562,39 @@ def decode_jpeg_batch(payloads, _chunk: int = 512) -> list[np.ndarray]:
                     cur_ac = cur_ac[keep]
                     lane_img = lane_img[keep]
                     live = np.ones(nlive, dtype=bool)
+    return err_imgs
 
-    if err_imgs:
-        raise ValueError(
-            f"invalid JPEG entropy stream in batch images {sorted(err_imgs)}"
-        )
 
-    # ---- dequantize + IDCT (all blocks at once) ----
-    QTN = np.empty((len(qt_rows), 64))  # natural-order dequant rows
-    QTN[:, _ZZ] = np.stack(qt_rows)
-    lane_first = np.searchsorted(seg_img_a, np.arange(nimg))
-    img_base = block_base[lane_first]
-    coef = coef_flat.reshape(total_blocks, 64)
-    # coefficients are already in natural order (scatter-time LUT);
-    # qt entries are INTEGERS (T.81 stores uint8 tables), so the
-    # int32*float64 product is exactly the scalar decoder's value.
-    # Fast path: every image uses the same MCU block pattern + table
-    # layout (the bulk-table case) -> the per-block table id is a
-    # period-bpm pattern and a (bpm, 64) broadcast replaces a
-    # (blocks, 64) gather.
-    img_qpat = [
-        [int(img_qt[ii, ci]) for ci in pats[ii]] for ii in range(nimg)
-    ]
-    uniq_layout = {tuple(q) for q in img_qpat}
-    if len(uniq_layout) == 1:
-        qsel = list(next(iter(uniq_layout)))
-        nat = (coef.reshape(-1, len(qsel), 64) * QTN[qsel][None]).reshape(
-            total_blocks, 64
-        )
+def _dequant_idct(coef, qpats, nmcu, QTN) -> np.ndarray:
+    """(blocks, 64) natural-order coefficients of whole images in
+    stream order (image i: nmcu[i] MCUs whose blocks take dequant rows
+    QTN[qpats[i]]) -> (blocks, 8, 8) level-shifted float64 samples.
+    qt entries are INTEGERS (T.81 stores uint8 tables), so the
+    int32*float64 product is exactly the scalar decoder's value, and
+    the batched-matmul IDCT is codecs.decode_jpeg's formulation."""
+    if len(set(qpats)) == 1:
+        # every image has the same MCU block pattern + table layout
+        # (the bulk-table case): a (bpm, 64) broadcast replaces a
+        # (blocks, 64) gather
+        qsel = list(qpats[0])
+        nat = coef.reshape(-1, len(qsel), 64) * QTN[qsel][None]
     else:
-        qtb = np.empty(total_blocks, dtype=np.int64)
-        for ii in range(nimg):
-            nb = int(img_nmcu[ii] * img_bpm[ii])
-            qtb[img_base[ii] : img_base[ii] + nb] = np.tile(
-                np.asarray(img_qpat[ii], dtype=np.int64), int(img_nmcu[ii])
-            )
-        nat = coef * QTN[qtb]
-    # batched-matmul IDCT, identical formulation to codecs.decode_jpeg
-    spat = np.matmul(np.matmul(_T.T, nat.reshape(-1, 8, 8)), _T)
+        nat = QTN[np.concatenate([np.tile(q, n) for q, n in zip(qpats, nmcu)])]
+        nat *= coef
+    # the second product lands in `nat`'s buffer: two float64 arrays
+    # of the chunk's size live at once, not three
+    spat = nat.reshape(-1, 8, 8)
+    np.matmul(np.matmul(_T.T, spat), _T, out=spat)
     spat += 128.0
-
-    # ---- color in BLOCK space, then uint8 assembly, batched per
-    # (h, w, ncomp) group. The YCbCr->RGB math is elementwise-identical
-    # to codecs._ycbcr_to_rgb (same constants, same round/clip order);
-    # running it before the spatial transpose means the assembly
-    # gather/transpose moves 1-byte pixels, not 8-byte floats ----
-    return _assemble_outputs(
-        spat, img_base, [(m.h, m.w, m.ncomp, m.hv) for m in metas]
-    )
+    return spat
 
 
 def _assemble_outputs(spat, img_base, shapes) -> list:
     """Shared pixel assembly: (total_blocks, 8, 8) IDCT output in
     stream order ([mcu, pattern-block] per image, bases in img_base)
     -> per-image uint8 arrays, batched per (h, w, ncomp, hv) group.
-    Used by the wide baseline machine AND the batched progressive
-    finisher."""
+    The YCbCr->RGB math is elementwise-identical to
+    codecs._ycbcr_to_rgb (same constants, same round/clip order)."""
     nimg = len(shapes)
     outs: list = [None] * nimg
     groups: dict[tuple, list[int]] = {}

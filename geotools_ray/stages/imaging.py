@@ -4,6 +4,11 @@ Decode (M11/ST7): `decode_features_batch` is a STATELESS batch fn that
 Ray fuses with its neighbouring maps, but not into a split file read:
 payload bytes cross the object store once, read -> decode task, and
 the decode drops them (measured plan: ops/imagepipeline.flagship_full).
+Every baseline JPEG of one call decodes in ONE wide entropy pass
+(sources/jpegwide.decode_jpeg_batch), which costs about one vector
+step per symbol of its longest restart segment whatever its width, so
+the caller's batch size sets how far that cost spreads: the
+flagship's 8,192-row decode tasks put ~1,700 JPEGs in each pass.
 
 Per-row invariant (input_hint): the decoded pixels' perceptual hash
 must equal the stored `phash` column — `verify_ok` carries the check.
@@ -57,8 +62,9 @@ def decode_pixel_stacks(t: pa.Table):
 
     Per-image zlib decompress is irreducible; ALL pixel math runs
     batched per (h, w, fmt) size-group so python touches each image
-    once, numpy does the rest over (group, h, w, 3) stacks. Real
-    JPEGs decode through ONE wide entropy pass (sources/jpegwide.py).
+    once, numpy does the rest over (group, h, w, 3) stacks. The
+    batch's JPEGs decode through ONE wide entropy pass
+    (sources/jpegwide.py).
     Shared by decode_features_batch (the flagship decode+verify) and
     ResizeStage (thumbnailing)."""
     import zlib

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from geotools_ray.sources import codecs
+from geotools_ray.sources import jpegprog
 from geotools_ray.sources import jpegwide as jw
 
 
@@ -116,14 +117,75 @@ def test_decode_rejects_wrong_segment_count():
 
 
 def test_decode_one_bad_image_names_it():
-    """A corrupt stream rejects the batch with the failing index —
-    never silently corrupts its neighbours."""
+    """A corrupt stream rejects the batch with its position in the
+    caller's batch — never silently corrupts its neighbours — also
+    behind a progressive payload (routed off the wide path) and past
+    the dequantize + IDCT chunk size."""
     rng = np.random.RandomState(7)
     good = codecs.encode_jpeg(_smooth(rng, 24, 24), quality=90)
     p = codecs.encode_jpeg(_noise(rng, 32, 32), quality=92)
     bad = p[:-30] + p[-2:]
-    with pytest.raises(ValueError, match="1"):
-        jw.decode_jpeg_batch([good, bad])
+    prog = jpegprog.encode_progressive(_smooth(rng, 16, 16), 90)
+    for batch, at in (
+        ([good, bad], 1),
+        ([prog, good, bad], 2),
+        ([good] * 1000 + [bad], 1000),
+    ):
+        with pytest.raises(ValueError, match=rf"batch images \[{at}\]"):
+            jw.decode_jpeg_batch(batch)
+
+
+def test_decode_batch_bit_identical_across_idct_chunks():
+    """More than 2 x _IDCT_CHUNK payloads in one call: one entropy pass,
+    then dequantize + IDCT + assembly per image chunk. Every output is
+    bit-identical to the scalar decoder, through a first chunk of one
+    table layout (the broadcast dequant) and mixed chunks of 4:4:4,
+    4:2:2, 4:2:0 and gray, sizes, restart intervals and progressive
+    rows, which shift the baseline chunk seams."""
+    rng = np.random.RandomState(13)
+    same, mixed = [], []
+    for h, w in ((16, 16), (37, 53), (64, 32)):
+        px = _smooth(rng, h, w)
+        for ri in (0, 4):
+            same.append(codecs.encode_jpeg(px, 92, restart_interval=ri, sampling="420"))
+            for samp in ("444", "422"):
+                mixed.append(codecs.encode_jpeg(px, 88, restart_interval=ri, sampling=samp))
+        mixed.append(codecs.encode_jpeg(px[..., 0], 85, restart_interval=3))
+        mixed.append(jpegprog.encode_progressive(px, 92, sampling="420"))
+    distinct = same + mixed
+    want = [codecs.decode_jpeg(d) for d in distinct]  # SOF2 -> Annex G
+    ids = [i % len(same) for i in range(700)] + [
+        len(same) + i % len(mixed) for i in range(500)
+    ]
+    assert len(ids) > 2 * jw._IDCT_CHUNK
+    got = jw.decode_jpeg_batch([distinct[i] for i in ids])
+    for k, i in enumerate(ids):
+        assert np.array_equal(got[k], want[i]), k
+
+
+def test_decode_features_batch_runs_one_entropy_pass(monkeypatch):
+    """One decode_features_batch call over a 2,048-row v5 batch runs
+    the wide entropy machine exactly once, over every baseline JPEG of
+    the batch."""
+    from geotools_ray.sources.images import image_rows
+    from geotools_ray.stages.imaging import decode_features_batch
+
+    t = image_rows(range(2048), 42, 0)
+    baseline = sum(
+        b[:2] == b"\xff\xd8" and jpegprog._frame_marker(b) != 0xC2
+        for b in t["bytes"].to_pylist()
+    )
+    passes = []
+    entropy_pass = jw._entropy_pass
+
+    def counted(*args):
+        passes.append(len(np.unique(args[-1])))  # images across the lanes
+        return entropy_pass(*args)
+
+    monkeypatch.setattr(jw, "_entropy_pass", counted)
+    out = decode_features_batch(t)
+    assert all(out["verify_ok"].to_pylist())
+    assert passes == [baseline]
 
 
 def test_decode_not_a_jpeg():
