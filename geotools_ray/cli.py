@@ -224,25 +224,11 @@ def cmd_flagship(args):
     completed partitions' decode+join entirely."""
     import time
 
-    import ray.data
-
     from .ops.imagepipeline import flagship_full
     from .state.manifest import load_manifest
 
     t0 = time.time()
     images = _read(args)
-    if getattr(args, "transcode", False):
-        # corpus normalization on ingest: progressive jpeg rows become
-        # baseline LOSSLESSLY so this and every later pass decode on
-        # the wide batch path (stateless -> fuses with the decode map).
-        # Only rows a flagship polygon contains are transcoded: the
-        # rest are dropped before decode anyway
-        from .ops.imagepipeline import polygon_filter
-        from .stages.imaging import transcode_batch
-
-        images = images.map_batches(
-            polygon_filter(), batch_format="pyarrow"
-        ).map_batches(transcode_batch, batch_format="pyarrow", batch_size=512)
     out = flagship_full(
         images,
         checkpoint_dir=args.checkpoint,
@@ -348,9 +334,6 @@ def main(argv=None):
     sp.add_argument("--checkpoint", default=None,
                     help="manifest dir for the durable restart boundary")
     sp.add_argument("--checkpoint-parts", type=int, default=32)
-    sp.add_argument("--transcode", action="store_true",
-                    help="losslessly normalize progressive JPEG rows "
-                         "to baseline on ingest (jpegtran-style)")
     sp.set_defaults(fn=cmd_flagship)
 
     sp = sub.add_parser("dedup", help="exact / minhash near-dup")

@@ -1,12 +1,15 @@
 """The flagship image pipeline (the benchmark headline, BASELINE.md):
 
   image+caption table
-    -> map_batches: footprint derive + hierarchical cell encode  (tile assignment)
-    -> narrow projection (pixels stay out of every shuffle)
-    -> broadcast PIP spatial join against a polygon set, with a
-       cell-id prefilter (np.isin against the polygons' cell cover)
+    -> map_batches, ONE fused map per DECODE_BATCH_ROWS input rows
+       (decode_and_join): footprint derive + hierarchical cell encode
+       (tile assignment) from image_id, broadcast PIP spatial join
+       against a polygon set with a cell-id prefilter (np.isin against
+       the polygons' cell cover), then decode + verify of only the
+       rows a polygon contains; emits the narrow join rows (pixels
+       stay out of every shuffle)
     -> exact dedup by phash (hash-partitioned groupby, keep first)
-    -> per-cell aggregate (images per cell + mean dims)
+    -> per-cell aggregate (images per cell)
 
 Throughput metric = input images / wall seconds end-to-end.
 """
@@ -21,9 +24,18 @@ import ray.data
 from ..kernels import cellindex as ci
 from ..kernels.geom import points_in_polygon
 from ..ops.zonal import Polygon
-from ..stages.imaging import footprint_cells_batch
+from ..stages.imaging import decode_features_batch, footprint_cells_batch
 
 DEFAULT_LEVEL = 12
+
+# input rows per flagship_full front task (decode_and_join): ~42% of
+# them match a polygon and about half of those are JPEG, so one decode
+# call runs ~1,700 JPEGs through ONE wide entropy pass, whose cost is
+# set by its longest restart segment, not its lane count
+# (sources/jpegwide). 2048 gave ~430 JPEGs per pass: 0.30 ms/img
+# against 0.23 at 1,700 on one CPU. One task for the whole input
+# (16,384, IDCT unchunked) raised peak memory 16-27%.
+DECODE_BATCH_ROWS = 8192
 
 # deterministic lon/lat polygon fixture for the flagship join: three
 # overlapping convex zones + one concave zone inside the +/-20 deg
@@ -41,22 +53,17 @@ def polygon_cell_prefilter(polys: list[Polygon], level: int) -> dict[int, np.nda
     return {p.polygon_id: np.sort(ci.cover_polygon([list(r) for r in p.rings], level)) for p in polys}
 
 
-def polygon_matcher(
-    polygons: list[Polygon] | None = None,
-    level: int = DEFAULT_LEVEL,
-    seed: int = 42,
-):
+def polygon_matcher():
     """-> match(t) -> (cell_id per row, row index, polygon_id), one
-    (row, polygon) pair per footprint a polygon contains: the cell-id
-    prefilter (np.isin against each polygon's cell cover), then exact
-    PIP on the candidates. Needs only t's image_id column — the
+    (row, polygon) pair per footprint a flagship polygon contains: the
+    cell-id prefilter (np.isin against each polygon's cell cover), then
+    exact PIP on the candidates. Needs only t's image_id column — the
     footprint derives from it — so it can run before any decode."""
-    polygons = polygons or FLAGSHIP_POLYGONS
-    bc = ray.put((polygons, polygon_cell_prefilter(polygons, level)))
+    bc = ray.put((FLAGSHIP_POLYGONS, polygon_cell_prefilter(FLAGSHIP_POLYGONS, DEFAULT_LEVEL)))
 
     def match(t: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         polys, prefilter = ray.get(bc)
-        f = footprint_cells_batch(t.select(["image_id"]), level, seed)
+        f = footprint_cells_batch(t.select(["image_id"]), DEFAULT_LEVEL)
         lon = f["lon"].to_numpy(zero_copy_only=False)
         lat = f["lat"].to_numpy(zero_copy_only=False)
         cell = f["cell_id"].to_numpy(zero_copy_only=False)
@@ -73,19 +80,55 @@ def polygon_matcher(
     return match
 
 
-def polygon_filter(level: int = DEFAULT_LEVEL):
-    """-> keep_matched(t): the rows of t some flagship polygon contains
-    (polygon_matcher, on image_id alone). A row no polygon contains
-    would be dropped by the join anyway, so this drops it before any
-    per-row work on its pixels (decode, verify, transcode)."""
-    match = polygon_matcher(level=level)
+def _join_rows(t: pa.Table, cell: np.ndarray, pi: np.ndarray, pid: np.ndarray) -> pa.Table:
+    """-> (image_id, phash, cell_id, polygon_id), one row per (row pi
+    of t, polygon pid) pair."""
+    ids = t["image_id"].to_numpy(zero_copy_only=False)
+    ph = t["phash"].to_numpy(zero_copy_only=False)
+    # explicit types: a zero-match batch must emit string/int64
+    # blocks, not null-typed ones (schema-unstable blocks break the
+    # downstream union/shuffle — the zip_tiles bug class)
+    return pa.table(
+        {
+            "image_id": pa.array(ids[pi], type=pa.string()),
+            "phash": pa.array(ph[pi], type=pa.int64()),
+            "cell_id": pa.array(cell[pi], type=pa.int64()),
+            "polygon_id": pa.array(pid, type=pa.int64()),
+        }
+    )
 
-    def keep_matched(t: pa.Table) -> pa.Table:
-        keep = np.zeros(len(t), dtype=bool)
-        keep[match(t)[1]] = True
-        return t.filter(pa.array(keep))
 
-    return keep_matched
+def decode_and_join():
+    """-> front(t): flagship_full's whole front half over one batch of
+    the raw image table, in one pass. The polygon match runs once, on
+    image_id; only the rows it matched are decoded and verified
+    (phash recompute, the per-row input_hint invariant); the join rows
+    come out of the match itself, so no row is matched twice. The
+    verify is a GATE, not a report: a row whose recomputed perceptual
+    hash mismatches the stored phash (bit-rot, mislabeled payload)
+    loses every one of its (row, polygon) pairs, with a warning,
+    instead of silently flowing into the dedup and rollup. A row no
+    polygon contains is never decoded."""
+    match = polygon_matcher()
+
+    def front(t: pa.Table) -> pa.Table:
+        cell, pi, pid = match(t)
+        rows = np.unique(pi)
+        ok = decode_features_batch(t.take(rows))["verify_ok"].to_numpy(zero_copy_only=False)
+        if not ok.all():
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "flagship_full: dropping %d/%d images failing decode "
+                "verification",
+                int((~ok).sum()),
+                len(ok),
+            )
+            keep = ok[np.searchsorted(rows, pi)]
+            pi, pid = pi[keep], pid[keep]
+        return _join_rows(t, cell, pi, pid)
+
+    return front
 
 
 def coalesce_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -108,81 +151,45 @@ def coalesce_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
     return ds.repartition(want).materialize()
 
 
-def assign_and_join(
-    images: ray.data.Dataset,
-    polygons: list[Polygon] | None = None,
-    level: int = DEFAULT_LEVEL,
-    seed: int = 42,
-) -> ray.data.Dataset:
-    """-> (image_id, phash, cell_id, polygon_id) one row per match."""
-    match = polygon_matcher(polygons, level, seed)
+def assign_and_join(images: ray.data.Dataset) -> ray.data.Dataset:
+    """-> (image_id, phash, cell_id, polygon_id) one row per match,
+    with no decode or verify."""
+    match = polygon_matcher()
 
     def fn(t: pa.Table) -> pa.Table:
-        cell, pi, pid = match(t)
-        ids = t["image_id"].to_numpy(zero_copy_only=False)
-        ph = t["phash"].to_numpy(zero_copy_only=False)
-        # explicit types: a zero-match batch must emit string/int64
-        # blocks, not null-typed ones (schema-unstable blocks break the
-        # downstream union/shuffle — the zip_tiles bug class)
-        return pa.table(
-            {
-                "image_id": pa.array(ids[pi], type=pa.string()),
-                "phash": pa.array(ph[pi], type=pa.int64()),
-                "cell_id": pa.array(cell[pi], type=pa.int64()),
-                "polygon_id": pa.array(pid, type=pa.int64()),
-            }
-        )
+        return _join_rows(t, *match(t))
 
     # pixels never reach this stage's output: project first, join narrow
     narrow = images.select_columns(["image_id", "phash"])
     return narrow.map_batches(fn, batch_format="pyarrow")
 
 
-def dedup_by_phash(joined: ray.data.Dataset, num_parts: int | None = None,
-                   salt_hot: bool = False) -> ray.data.Dataset:
+def dedup_by_phash(joined: ray.data.Dataset, salt_hot: bool = False) -> ray.data.Dataset:
     """Exact dedup (U4): keep the lexicographically-first image_id per
     (phash, polygon_id) — ops/dedup.exact_dedup, one hash exchange of
     Arrow partitions, salted over hot keys with `salt_hot`."""
     from .dedup import exact_dedup
 
-    return exact_dedup(joined, ["phash", "polygon_id"], "image_id",
-                       num_parts=num_parts, salt_hot=salt_hot)
+    return exact_dedup(joined, ["phash", "polygon_id"], "image_id", salt_hot=salt_hot)
 
 
 def cell_rollup(joined: ray.data.Dataset) -> ray.data.Dataset:
     """Images per (polygon, parent cell at level-2) — the compaction-
     style rollup (ST7). Partial-aggregates per batch first so the
     shuffle moves one row per (polygon, parent) per batch."""
+    from ..stages.grouped import grouped_map
 
     def partial(t: pa.Table) -> pa.Table:
-        cell = t["cell_id"].to_numpy(zero_copy_only=False)
-        pid = t["polygon_id"].to_numpy(zero_copy_only=False)
-        par = ci.parent(cell, 2)
-        # EXACT (pid, parent) grouping via one lexsort — bit-packing
-        # the pair into 64 bits overflows for deep levels (morton bits
-        # of a level>=23 parent exceed the 40-bit field) and would
-        # silently merge distinct groups
-        if not len(pid):
-            return pa.table(
-                {"polygon_id": pid, "parent_cell": par,
-                 "pn": np.empty(0, dtype=np.int64)}
-            )
-        order = np.lexsort((par, pid))
-        sp, sc = pid[order], par[order]
-        new = np.empty(len(sp), dtype=bool)
-        new[0] = True
-        new[1:] = (sp[1:] != sp[:-1]) | (sc[1:] != sc[:-1])
-        starts = np.flatnonzero(new)
-        cnt = np.diff(np.append(starts, len(sp)))
-        return pa.table(
+        keys = pa.table(
             {
-                "polygon_id": sp[starts],
-                "parent_cell": sc[starts],
-                "pn": cnt.astype(np.int64),
+                "polygon_id": t["polygon_id"],
+                "parent_cell": ci.parent(t["cell_id"].to_numpy(zero_copy_only=False), 2),
             }
         )
-
-    from ..stages.grouped import grouped_map
+        out = keys.group_by(["polygon_id", "parent_cell"]).aggregate([([], "count_all")])
+        return out.select(["polygon_id", "parent_cell", "count_all"]).rename_columns(
+            ["polygon_id", "parent_cell", "pn"]
+        )
 
     def final(t: pa.Table) -> pa.Table:
         out = t.group_by(["polygon_id", "parent_cell"]).aggregate([("pn", "sum")])
@@ -196,12 +203,6 @@ def cell_rollup(joined: ray.data.Dataset) -> ray.data.Dataset:
     return grouped_map(
         partials, ["polygon_id", "parent_cell"], final, batch_format="pyarrow"
     )
-
-
-def flagship(images: ray.data.Dataset, level: int = DEFAULT_LEVEL) -> ray.data.Dataset:
-    joined = assign_and_join(images, level=level)
-    deduped = dedup_by_phash(joined)
-    return cell_rollup(deduped)
 
 
 def _parquet_fingerprint(path: str) -> list | None:
@@ -291,35 +292,24 @@ def checkpoint_join(
 
 def flagship_full(
     images: ray.data.Dataset,
-    level: int = DEFAULT_LEVEL,
-    # 8192 input rows per decode task: ~42% of them match a polygon
-    # and about half of those are JPEG, so one decode call runs ~1,700
-    # JPEGs through ONE wide entropy pass, whose cost is set by its
-    # longest restart segment, not its lane count (sources/jpegwide).
-    # 2048 gave ~430 JPEGs per pass: 0.30 ms/img against 0.23 at
-    # 1,700 on one CPU. One task for the whole input (16,384, IDCT
-    # unchunked) raised peak memory 16-27%.
-    decode_batch_size: int = 8192,
     checkpoint_dir: str | None = None,
     checkpoint_parts: int = 32,
 ) -> ray.data.Dataset:
-    """The end-to-end metric pipeline (BASELINE.md headline):
-    polygon match on image_id (the footprint derives from the id, so
-    rows no polygon contains are dropped before any pixel is touched)
-    -> decode + verify of the matched rows (phash recompute, the
-    per-row input_hint invariant) -> footprint/cell tile assignment
-    -> cell-prefiltered PIP join -> phash dedup -> parent-cell rollup.
+    """The end-to-end metric pipeline (BASELINE.md headline): one
+    fused map per DECODE_BATCH_ROWS input rows (decode_and_join:
+    footprint/cell tile assignment and cell-prefiltered PIP join on
+    image_id, then decode + verify of only the matched rows) -> phash
+    dedup -> parent-cell rollup.
 
     The plan, from Dataset.stats() over a 16,384-image v5 table on a
     one-CPU node: ReadParquet->SplitBlocks(11) runs as its own
     operator (4 tasks, 44 blocks, 43 MB), so the payload bytes DO
-    cross the object store once. keep_matched, the decode, the verify
-    gate and the join then fuse into ONE operator of 2 tasks (one per
-    `decode_batch_size` = 8,192 input rows; ~3,400 matched rows, ~1,700
-    of them JPEG, decode in one call each) whose output is only the
-    narrow join (8,176 rows, 0.35 MB). The join is then materialized
-    and merged to one block per MiB (coalesce_blocks) before its
-    exchanges.
+    cross the object store once. The front then runs as ONE map of 2
+    tasks (one per DECODE_BATCH_ROWS = 8,192 input rows; ~3,400
+    matched rows, ~1,700 of them JPEG, decode in one call each) whose
+    output is only the narrow join (8,176 rows, 0.35 MB). The join is
+    then materialized and merged to one block per MiB
+    (coalesce_blocks) before its exchanges.
 
     With `checkpoint_dir` the join output is checkpointed through the
     resumable manifest store (state/manifest): hash-partitioned by
@@ -334,37 +324,14 @@ def flagship_full(
     (write_partitioned). At design scale this is the restart boundary
     between the embarrassingly-parallel front half and the shuffle
     back half."""
-    from ..stages.imaging import decode_features_batch
     from ..state.manifest import open_checkpoint, skip_done, write_partitioned
 
     if checkpoint_dir is not None:
         ck = open_checkpoint(checkpoint_dir, checkpoint_parts, [_input_token(images)])
         images = skip_done(images, ck)
-
-    def enforce_verify(t: pa.Table) -> pa.Table:
-        # the input_hint invariant is a GATE, not a report: rows whose
-        # recomputed perceptual hash mismatches the stored phash
-        # (bit-rot, mislabeled payload) are dropped with a warning
-        # instead of silently flowing into the join/dedup/rollup
-        ok = t["verify_ok"].to_numpy(zero_copy_only=False).astype(bool)
-        if not ok.all():
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "flagship_full: dropping %d/%d images failing decode "
-                "verification",
-                int((~ok).sum()),
-                len(ok),
-            )
-            t = t.filter(pa.array(ok))
-        return t.select(["image_id", "phash"])
-
-    decoded = (
-        images.map_batches(polygon_filter(level), batch_format="pyarrow")
-        .map_batches(decode_features_batch, batch_format="pyarrow", batch_size=decode_batch_size)
-        .map_batches(enforce_verify, batch_format="pyarrow")
+    joined = images.map_batches(
+        decode_and_join(), batch_format="pyarrow", batch_size=DECODE_BATCH_ROWS
     )
-    joined = assign_and_join(decoded, level=level)
     # materialize the NARROW join output (~40 B/row) before any
     # exchange: the streaming executor schedules an AllToAll chained
     # directly after the heavy fused decode-map very poorly (measured

@@ -353,11 +353,12 @@ def test_flagship_exchanges_see_one_block(ray_session, tmp_path, monkeypatch):
 
     monkeypatch.setattr(G, "grouped_map", spy)
     monkeypatch.setattr(IP, "coalesce_blocks", spy_coalesce)
+    monkeypatch.setattr(IP, "DECODE_BATCH_ROWS", 64)
     t = I.generate_image_table(600, seed=7)
 
     def run(**kw):
         src = ray.data.from_arrow([t.slice(i * 150, 150) for i in range(4)])
-        return _canon(IP.flagship_full(src, decode_batch_size=64, **kw))
+        return _canon(IP.flagship_full(src, **kw))
 
     ref = run()
     assert seen == [1, 1]  # dedup, rollup
@@ -375,17 +376,50 @@ def test_flagship_exchanges_see_one_block(ray_session, tmp_path, monkeypatch):
     assert seen[0] == 1
 
 
-def test_polygon_filter_keeps_exactly_the_contained_rows(ray_session):
-    """polygon_filter, which runs ahead of decode in flagship_full and
-    ahead of transcode in `cli flagship --transcode`, keeps exactly the
-    rows some flagship polygon contains (straight PIP, no prefilter)."""
-    from geotools_ray.ops.imagepipeline import polygon_filter
+def test_polygon_matcher_pairs_are_exactly_the_contained_rows(ray_session):
+    """polygon_matcher, the one match flagship_full's front and
+    assign_and_join run, pairs each row with exactly the flagship
+    polygons that contain it (straight PIP, no prefilter)."""
+    from geotools_ray.ops.imagepipeline import FLAGSHIP_POLYGONS, polygon_matcher
     from geotools_ray.sources.images import generate_image_table
 
     t = generate_image_table(400, seed=11)
     inside = _contained(t)
     assert inside.any() and not inside.all()
-    assert polygon_filter()(t).equals(t.filter(pa.array(inside)))
+    _, pi, pid = polygon_matcher()(t)
+    assert sorted(zip(pi.tolist(), pid.tolist())) == sorted(
+        (i, p.polygon_id)
+        for p, m in zip(FLAGSHIP_POLYGONS, _containing(t))
+        for i in np.flatnonzero(m).tolist()
+    )
+
+
+def test_flagship_front_matches_each_row_once(ray_session, monkeypatch):
+    """decode_and_join derives each batch's footprints once, over all
+    of its rows, and decodes only the rows a polygon contains: one
+    footprint call per front call, not one before decode and another
+    in the join."""
+    from geotools_ray.ops import imagepipeline as IP
+    from geotools_ray.sources.images import image_rows
+
+    seen, decoded = [], []
+    footprint, decode = IP.footprint_cells_batch, IP.decode_features_batch
+
+    def spy_footprint(t, *a, **kw):
+        seen.append(t["image_id"].to_pylist())
+        return footprint(t, *a, **kw)
+
+    def spy_decode(t):
+        decoded.append(len(t))
+        return decode(t)
+
+    monkeypatch.setattr(IP, "footprint_cells_batch", spy_footprint)
+    monkeypatch.setattr(IP, "decode_features_batch", spy_decode)
+    t = image_rows(range(2048), 42, 100)
+    out = IP.decode_and_join()(t)
+    assert seen == [t["image_id"].to_pylist()]
+    assert decoded == [int(_contained(t).sum())] and 0 < decoded[0] < len(t)
+    assert out.num_rows == int(_containing(t).sum()) > decoded[0]
 
 
 def test_manifest_crash_debris_and_empty_partitions(ray_session, tmp_path):
@@ -438,14 +472,19 @@ def test_manifest_crash_debris_and_empty_partitions(ray_session, tmp_path):
 
 
 def _contained(t: pa.Table) -> np.ndarray:
-    """Rows whose footprint some flagship polygon contains: a straight
-    PIP against every polygon, no cell prefilter."""
+    """Rows whose footprint some flagship polygon contains."""
+    return _containing(t).any(axis=0)
+
+
+def _containing(t: pa.Table) -> np.ndarray:
+    """(polygon, row) mask: flagship polygon i contains row j's
+    footprint (straight PIP, no cell prefilter)."""
     from geotools_ray.kernels.geom import points_in_polygon
     from geotools_ray.ops.imagepipeline import FLAGSHIP_POLYGONS
     from geotools_ray.sources.images import footprint_lonlat
 
     lon, lat = footprint_lonlat(t["image_id"])
-    return np.logical_or.reduce(
+    return np.array(
         [points_in_polygon(lon, lat, [list(r) for r in p.rings]) for p in FLAGSHIP_POLYGONS]
     )
 
@@ -457,16 +496,17 @@ def _corrupt_phash(t: pa.Table, rows) -> pa.Table:
 
 
 def _gate_fixture():
-    """-> (400-row image table, contained-row mask, a contained row no
-    other row shares a phash with (dedup never drops it), a row no
-    polygon contains)."""
+    """-> (400-row image table, contained-row mask, a row two
+    overlapping polygons contain that no other row shares a phash with
+    (dedup never drops it), a row no polygon contains)."""
     from geotools_ray.sources.images import generate_image_table
 
     t = generate_image_table(400, seed=11)
     inside = _contained(t)
     ph = t["phash"].to_numpy(zero_copy_only=False)
     vals, counts = np.unique(ph, return_counts=True)
-    hit = int(np.flatnonzero(inside & np.isin(ph, vals[counts == 1]))[0])
+    twice = _containing(t).sum(axis=0) >= 2
+    hit = int(np.flatnonzero(twice & np.isin(ph, vals[counts == 1]))[0])
     return t, inside, hit, int(np.flatnonzero(~inside)[0])
 
 
@@ -476,11 +516,11 @@ def _canon(ds):
 
 
 def test_flagship_verify_gate_drops_corrupt_rows(ray_session):
-    """A row a polygon contains whose stored phash mismatches its
-    decoded pixels is dropped by flagship_full (the input_hint
-    invariant is a gate): the output equals the run over the table
-    without that row. A corrupt row no polygon contains changes
-    nothing."""
+    """A row two polygons contain whose stored phash mismatches its
+    decoded pixels loses both of its (row, polygon) pairs in
+    flagship_full (the input_hint invariant is a gate): the output
+    equals the run over the table without that row. A corrupt row no
+    polygon contains changes nothing."""
     import pandas as pd
     import ray.data
 
@@ -492,7 +532,9 @@ def test_flagship_verify_gate_drops_corrupt_rows(ray_session):
     t, _, hit, miss = _gate_fixture()
     full = run(t)
     without = run(t.filter(pa.array(np.arange(len(t)) != hit)))
-    assert not without.equals(full)  # the row counts in the output
+    changed = full.merge(without, how="outer", indicator=True)
+    # the row counts in the output, under both polygons
+    assert changed[changed["_merge"] != "both"]["polygon_id"].nunique() >= 2
     pd.testing.assert_frame_equal(run(_corrupt_phash(t, [hit])), without)
     pd.testing.assert_frame_equal(run(_corrupt_phash(t, [miss])), full)
 
@@ -569,11 +611,11 @@ def test_cli_flagship_wds_and_tfrecord_resume(ray_session, tmp_path):
     os.makedirs(pq_dir)
     pq.write_table(t, os.path.join(pq_dir, "part0.parquet"))
 
-    def run(fmt, inp, out, ckpt, transcode=False):
+    def run(fmt, inp, out, ckpt):
         cli.cmd_flagship(
             SimpleNamespace(
                 input=inp, output=out, in_format=fmt,
-                checkpoint=ckpt, checkpoint_parts=4, transcode=transcode,
+                checkpoint=ckpt, checkpoint_parts=4,
             )
         )
         df = pq.read_table(out).to_pandas()
@@ -587,7 +629,3 @@ def test_cli_flagship_wds_and_tfrecord_resume(ray_session, tmp_path):
     o_pq = run("parquet", pq_dir, str(tmp_path / "o4"), None)
     assert o_wds.equals(o_tfr)
     assert o_wds.equals(o_pq)
-    # --transcode normalizes progressive rows LOSSLESSLY: phash (and
-    # therefore the whole flagship result) must be unchanged
-    o_tc = run("parquet", pq_dir, str(tmp_path / "o5"), None, transcode=True)
-    assert o_tc.equals(o_pq)
