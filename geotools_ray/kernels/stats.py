@@ -16,6 +16,11 @@ the reference's quirks (reproduced bug-for-bug, see SURVEY.md §7.4):
 
 All kernels take numpy arrays of one group's values and return floats;
 empty input -> NODATA (-9999.0).
+
+`group_stats` is the one-pass form the grid and zonal pipelines call:
+every requested stat of one group from its values and one sort of
+them, the moments computed once — bit-identical to the per-stat
+kernels, which stay as its oracles.
 """
 
 from __future__ import annotations
@@ -108,6 +113,71 @@ def ref_density(v: np.ndarray, cell_area: float) -> float:
     if len(v) == 0:
         return NODATA
     return float(len(v) / cell_area)
+
+
+_MOMENT_STATS = {"variance", "stddev", "pvariance", "pstddev", "skew", "kurtosis"}
+
+
+def group_stats(
+    v: np.ndarray,
+    s: np.ndarray,
+    stats,
+    num: int = 4,
+    cell_area: float = 1.0,
+    unfiltered_count: int | None = None,
+) -> list[float]:
+    """Every stat in `stats` of one group, in order: `v` holds its
+    values in the order the per-stat kernels would see them, `s` the
+    same values sorted. The mean and the deviations are computed once
+    and shared by variance, stddev, skew and kurtosis; median and
+    q<i> (of `num`) index into `s`. Names: STAT_KERNELS' plus "sum",
+    "density" (over `cell_area`) and "q<i>"; kurtosis divides by
+    `unfiltered_count` when given. Bit-identical to the per-stat
+    kernels (ref_*), which stay as its oracles."""
+    n = len(v)
+    if n == 0:
+        return [0.0 if st == "count" else NODATA for st in stats]
+    tot = np.sum(v)
+    m = tot / n
+    if _MOMENT_STATS.intersection(stats):
+        d = v - m
+        ss = float(np.sum(d**2))
+        var = ss / (n - 1) if n > 1 else float("nan")
+        sd = float(np.sqrt(var))
+    out = []
+    for st in stats:
+        if st == "count":
+            out.append(float(n))
+        elif st == "sum":
+            out.append(float(tot))
+        elif st == "min":
+            out.append(float(np.min(v)))
+        elif st == "max":
+            out.append(float(np.max(v)))
+        elif st == "mean":
+            out.append(float(m))
+        elif st == "density":
+            out.append(float(n / cell_area))
+        elif st == "median":
+            out.append(float((s[n // 2] + s[n // 2 - 1]) / 2.0) if n % 2 == 0 else float(s[n // 2]))
+        elif st[0] == "q" and st[1:].isdigit():
+            out.append(float(s[int(np.ceil((int(st[1:]) / (num + 1)) * (n - 1)))]))
+        elif st == "variance":
+            out.append(var)
+        elif st == "stddev":
+            out.append(sd)
+        elif st == "pvariance":
+            out.append(ss / n)
+        elif st == "pstddev":
+            out.append(float(np.sqrt(ss / n)))
+        elif st == "skew":
+            out.append(float(np.sum(d**3 / n) / sd**3))
+        elif st == "kurtosis":
+            cnt = unfiltered_count if unfiltered_count is not None else n
+            out.append(float(np.sum(d**4 / cnt) / sd**4 - 3.0))
+        else:
+            raise ValueError(f"group_stats: unknown stat {st!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------

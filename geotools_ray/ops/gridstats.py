@@ -10,14 +10,16 @@ Two strategies, each reducing in numpy inside grouped_map partitions:
     n/sum/sumsq/min/max) combined with np.bincount.  Skew-proof: the
     shuffle moves O(#cells x #blocks) rows. Algebraic stats only.
   - "exact": raw values shuffle; one stable sort cuts a partition into
-    per-cell runs (_runs) for the reference's exact kernels (median /
+    per-cell runs (stages/grouped.key_runs) and kernels/stats.group_stats
+    finishes each cell from its run and one sort of it (median /
     quantiles / skew / kurtosis need the full value list).  This is
     what the golden tests compare bit-for-bit.
 "auto" picks "partial" when every requested stat is algebraic.
 
-Statefulness: none — bounds are computed by a tiny min/max aggregate
-(the analog of FinalizedPointStream's pass 1,
-src/finalizedpointstream.cpp:24-52) and closed over by the stage fns.
+Statefulness: none — bounds come from one map pass, one x/y min/max
+row per block folded on the driver (the analog of FinalizedPointStream's
+pass 1, src/finalizedpointstream.cpp:24-52), and are closed over by the
+stage fns.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Max, Min
 
 from ..kernels import stats as K
 from ..kernels.grid import Bounds, cell_id_of_points, radius_cells_of_points
@@ -54,10 +54,23 @@ class GridConfig:
 _BOUNDS_CACHE: dict = {}  # (id(ds), res) -> (weakref to ds, Bounds)
 
 
+def _xy_extent(t: pa.Table) -> pa.Table:
+    """One row: the block's x/y minimum and maximum (pyarrow's min/max,
+    the kernels Ray's Min/Max aggregates apply per block, skipping
+    nulls alike); no row for a block without an x or y value."""
+    x, y = t["x"], t["y"]
+    ext = pa.table({"minx": [pc.min(x)], "miny": [pc.min(y)],
+                    "maxx": [pc.max(x)], "maxy": [pc.max(y)]})
+    return ext if x.null_count < len(x) and y.null_count < len(y) else ext.slice(0, 0)
+
+
 def compute_bounds(points: ray.data.Dataset, res: float) -> Bounds:
-    """Data-driven snapped bounds (pass 1 of the reference). Cached per
-    dataset object, for a caller that passes one materialized points
-    dataset to several grid_stats calls: perfbench's traced LiDAR split
+    """Data-driven snapped bounds (pass 1 of the reference) in one map
+    pass: one x/y min/max row per block, folded on the driver (Ray's
+    `aggregate` would add a sort exchange over the whole block);
+    ValueError when `points` has no row. Cached per dataset object,
+    for a caller that passes one materialized points dataset to
+    several grid_stats calls: perfbench's traced LiDAR split
     (`trace.lidar_staged` times this pass, then its partial and exact
     runs hit, so their times exclude it) and `Lidar.warmup`. Queries
     build a fresh dataset per call and never hit.
@@ -70,10 +83,11 @@ def compute_bounds(points: ray.data.Dataset, res: float) -> Bounds:
     hit = _BOUNDS_CACHE.get(key)
     if hit is not None and hit[0]() is points:
         return hit[1]
-    agg = points.aggregate(Min("x"), Max("x"), Min("y"), Max("y"))
-    if agg is None:  # ray returns None for an empty dataset
+    ext = points.map_batches(_xy_extent, batch_format="pyarrow", batch_size=None).take_all()
+    if not ext:
         raise ValueError("compute_bounds: points dataset is empty")
-    b = Bounds(agg["min(x)"], agg["min(y)"], agg["max(x)"], agg["max(y)"]).snap(res)
+    b = Bounds(min(r["minx"] for r in ext), min(r["miny"] for r in ext),
+               max(r["maxx"] for r in ext), max(r["maxy"] for r in ext)).snap(res)
     if len(_BOUNDS_CACHE) > 64:
         for k in [k for k, v in _BOUNDS_CACHE.items() if v[0]() is None]:
             del _BOUNDS_CACHE[k]
@@ -168,29 +182,6 @@ def _partial_agg(t: pa.Table) -> pa.Table:
     return pa.table(_cell_sums(_col(t, "cell_id"), np.ones(len(v)), v, v * v, v, v))
 
 
-def _runs(t: pa.Table, keys: list[str]):
-    """Rows of `t` stably sorted by `keys` (np.lexsort; over one key it
-    is the stable argsort) and cut where any key changes -> (each run's
-    keys, value offsets, float64 "v" values, run lengths): run i's
-    values are values[off[i]:off[i+1]], in row order. With a "keep"
-    column the values hold only the kept rows, so a run's value slice
-    may be empty while its length counts every row."""
-    ks = [_col(t, k) for k in keys]
-    order = np.lexsort(ks[::-1])
-    ks = [k[order] for k in ks]
-    new = np.zeros(len(order), dtype=bool)  # row starts a run
-    new[:1] = True
-    for k in ks:
-        new[1:] |= k[1:] != k[:-1]
-    heads = np.flatnonzero(new)
-    bounds = off = np.append(heads, len(order))
-    vs = np.asarray(_col(t, "v"), dtype=np.float64)[order]
-    if "keep" in t.column_names:
-        kept = _col(t, "keep")[order].astype(bool)
-        off, vs = np.append(0, np.cumsum(kept))[bounds], vs[kept]
-    return [k[heads] for k in ks], off, vs, np.diff(bounds)
-
-
 def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
     """-> Dataset(cell_id, col, row, n?, <stat cols>) — empty cells are
     absent (the raster-assembly op materializes nodata)."""
@@ -205,7 +196,7 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
     cells = assign_cells(points, cfg, b, defer_class=quirk)
     cell_area = cfg.res * cfg.res
 
-    from ..stages.grouped import grouped_map, salted_grouped_map
+    from ..stages.grouped import grouped_map, key_runs, salted_grouped_map
 
     if strategy == "partial":
 
@@ -238,44 +229,32 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
 
     # exact path: raw values per cell through ONE hash-partitioned
     # shuffle (grouped_map); each partition is cut into per-cell runs by
-    # one stable sort (_runs) and the kernel loop runs per cell —
+    # one stable sort (key_runs) and group_stats finishes each cell —
     # Python dispatch per partition and per cell, no per-group frames
     stats = cfg.stats
     qn = cfg.quantiles
 
-    def _finalize_rows(cids, values, unf=None) -> pd.DataFrame:
-        rows: dict[str, list] = {"cell_id": []}
-        for st in stats:
-            rows[st] = []
-        for gi, (cid, v) in enumerate(zip(cids, values)):
-            rows["cell_id"].append(cid)
-            for st in stats:
-                if st.startswith("q") and st[1:].isdigit():
-                    rows[st].append(K.ref_quantile(v, int(st[1:]), qn))
-                elif st == "density":
-                    rows[st].append(K.ref_density(v, cell_area))
-                elif st == "kurtosis":
-                    rows[st].append(
-                        K.ref_kurtosis(v, unf[gi] if unf is not None else None)
-                    )
-                else:
-                    rows[st].append(K.STAT_KERNELS[st](v))
-        return pd.DataFrame(rows)
-
-    def finish(cids, off, vals, unf, sort: bool) -> pd.DataFrame:
-        runs = [vals[i:j] for i, j in zip(off[:-1], off[1:])]
-        if sort:
-            runs = [np.sort(r) for r in runs]
-        if not quirk:
-            return _finalize_rows(cids, runs)
-        has = np.diff(off) > 0  # no filtered points: cell absent (nodata)
-        return _finalize_rows(cids[has], [r for r, h in zip(runs, has) if h], unf[has])
+    def finish(cids, off, vals, unf, merged: bool) -> pa.Table:
+        """One row per cell with a value: group_stats over its run in
+        row order and one sort of it. A salted cell's merged run has no
+        row order to keep, so its sorted values serve as both. A cell
+        whose points were all class-filtered has no value and is absent
+        (nodata)."""
+        has = np.flatnonzero(np.diff(off) > 0)
+        rows = []
+        for gi in has:
+            v = vals[off[gi]:off[gi + 1]]
+            s = np.sort(v)
+            rows.append(K.group_stats(s if merged else v, s, stats, qn, cell_area,
+                                      unf[gi] if quirk else None))
+        cols = np.array(rows, dtype=np.float64).reshape(len(rows), len(stats))
+        return pa.table({"cell_id": cids[has], **{st: cols[:, i] for i, st in enumerate(stats)}})
 
     if not cfg.salt_hot:
 
-        def per_part(t: pa.Table) -> pd.DataFrame:
-            (cids,), off, vals, n = _runs(t, ["cell_id"])
-            return finish(cids, off, vals, n, sort=False)
+        def per_part(t: pa.Table) -> pa.Table:
+            (cids,), off, vals, n = key_runs(t, ["cell_id"])
+            return finish(cids, off, vals, n, merged=False)
 
         return grouped_map(cells, ["cell_id"], per_part, batch_format="pyarrow")
 
@@ -283,29 +262,29 @@ def grid_stats(points: ray.data.Dataset, cfg: GridConfig) -> ray.data.Dataset:
     # split): salted_grouped_map flags cells holding more than one
     # partition's share of the rows; their raw values shuffle under
     # (cell_id, salt) so no phase-1 partition holds a whole hot cell,
-    # then the per-cell exact kernels run on the re-merged (sorted)
-    # values. The exact kernels need the full value multiset, so a hot
-    # cell's bytes still meet in its phase-2 merge task — but that task
-    # holds ONE cell, not a partition's worth, and every algebraic stat
+    # then group_stats runs on each cell's re-merged (sorted) values.
+    # The exact stats need the full value multiset, so a hot cell's
+    # bytes still meet in its phase-2 merge task — but that task holds
+    # ONE cell, not a partition's worth, and every algebraic stat
     # should use the 'partial' strategy instead (skew-free by design).
 
     def chunk(t: pa.Table) -> pa.Table:
         # one list<double> row per (cell, salt) run, unsorted (merge
         # sorts); int64 offsets, so a partition may pass 2^31 values
-        (cids, _), off, vals, n = _runs(t, ["cell_id", "_salt"])
+        (cids, _), off, vals, n = key_runs(t, ["cell_id", "_salt"])
         runs = pa.LargeListArray.from_arrays(pa.array(off, pa.int64()), pa.array(vals))
         return pa.table({"cell_id": cids, "vals": runs, "unf": n})
 
-    def merge(t: pa.Table) -> pd.DataFrame:
+    def merge(t: pa.Table) -> pa.Table:
         lens = pc.list_value_length(t["vals"]).to_numpy(zero_copy_only=False)
         flat = pa.table({"cell_id": np.repeat(_col(t, "cell_id"), lens),
                          "v": pc.list_flatten(t["vals"])})
-        (cids,), off, vals, _ = _runs(flat, ["cell_id"])
+        (cids,), off, vals, _ = key_runs(flat, ["cell_id"])
         unf = None
         if quirk:  # per-cell sum of the phase-1 unfiltered counts
             uniq, inv = np.unique(_col(t, "cell_id"), return_inverse=True)
             tot = np.bincount(inv, weights=_col(t, "unf"))
             unf = tot[np.searchsorted(uniq, cids)].astype(np.int64)
-        return finish(cids, off, vals, unf, sort=True)
+        return finish(cids, off, vals, unf, merged=True)
 
     return salted_grouped_map(cells, ["cell_id"], chunk, merge, batch_format="pyarrow")

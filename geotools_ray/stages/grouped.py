@@ -173,6 +173,30 @@ def grouped_map(
     )
 
 
+def key_runs(t: pa.Table, keys: list[str], value_col: str = "v"):
+    """The one way a partition is cut into groups: rows of `t` stably
+    sorted by `keys` (np.lexsort; over one key it is the stable
+    argsort) and cut where any key changes -> (each run's keys, value
+    offsets, float64 `value_col` values, run lengths): run i's values
+    are values[off[i]:off[i+1]], in row order. With a "keep" column
+    the values hold only the kept rows, so a run's value slice may be
+    empty while its length counts every row."""
+    ks = [t[k].to_numpy(zero_copy_only=False) for k in keys]
+    order = np.lexsort(ks[::-1])
+    ks = [k[order] for k in ks]
+    new = np.zeros(len(order), dtype=bool)  # row starts a run
+    new[:1] = True
+    for k in ks:
+        new[1:] |= k[1:] != k[:-1]
+    heads = np.flatnonzero(new)
+    bounds = off = np.append(heads, len(order))
+    vs = np.asarray(t[value_col].to_numpy(zero_copy_only=False), dtype=np.float64)[order]
+    if "keep" in t.column_names:
+        kept = t["keep"].to_numpy(zero_copy_only=False)[order].astype(bool)
+        off, vs = np.append(0, np.cumsum(kept))[bounds], vs[kept]
+    return [k[heads] for k in ks], off, vs, np.diff(bounds)
+
+
 def _first_row(t: pa.Table) -> pa.Table:
     return t.slice(0, 1)
 

@@ -162,3 +162,35 @@ def test_partial_matches_numpy(ray_session):
     for st, w in want.items():
         np.testing.assert_allclose(got[st].to_numpy(), np.array(w, dtype=np.float64),
                                    rtol=1e-12, atol=0, equal_nan=True, err_msg=st)
+
+
+def test_compute_bounds_one_map_pass(ray_session, monkeypatch):
+    """Over several blocks, one of them empty and one holding a null x,
+    the bounds equal Ray's Min/Max aggregate snapped; an all-empty
+    input raises ValueError; a second call on the same dataset object
+    is answered from the cache without running a pass."""
+    import ray.data
+    from ray.data.aggregate import Max, Min
+
+    from geotools_ray.kernels.grid import Bounds
+    from geotools_ray.ops import gridstats as G
+
+    t = _points(12, 3_000, 0, cells=8)
+    xs = t["x"].to_pylist()
+    xs[5] = None
+    t = t.set_column(0, "x", pa.array(xs, pa.float64()))
+    blocks = [t.slice(0, 1_000), t.slice(0, 0), t.slice(1_000)]
+    ds = ray.data.from_arrow(blocks)
+    assert ds.num_blocks() == 3
+    b = G.compute_bounds(ds, 0.7)
+    agg = ds.aggregate(Min("x"), Min("y"), Max("x"), Max("y"))
+    assert b == Bounds(agg["min(x)"], agg["min(y)"], agg["max(x)"], agg["max(y)"]).snap(0.7)
+
+    with pytest.raises(ValueError, match="empty"):
+        G.compute_bounds(ray.data.from_arrow([t.slice(0, 0), t.slice(0, 0)]), 0.7)
+
+    def no_pass(*a, **kw):
+        raise AssertionError("compute_bounds ran a pass on a cached dataset")
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", no_pass)
+    assert G.compute_bounds(ds, 0.7) == b

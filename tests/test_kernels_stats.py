@@ -107,3 +107,74 @@ def test_empty_inputs_nodata():
             assert fn(e) == 0.0
         else:
             assert fn(e) == S.NODATA
+
+
+ALL_STATS = ("count", "sum", "min", "max", "mean", "median", "variance", "stddev",
+             "pvariance", "pstddev", "skew", "kurtosis", "density", "q1", "q2", "q3", "q4")
+
+
+def _per_stat(v, stats, num, cell_area, unf=None):
+    """The per-stat kernels, one call each: group_stats' oracle."""
+    out = []
+    for st in stats:
+        if st == "sum":
+            out.append(float(np.sum(v)) if len(v) else S.NODATA)
+        elif st == "density":
+            out.append(S.ref_density(v, cell_area))
+        elif st == "kurtosis":
+            out.append(S.ref_kurtosis(v, unf))
+        elif st[0] == "q":
+            out.append(S.ref_quantile(v, int(st[1:]), num))
+        else:
+            out.append(S.STAT_KERNELS[st](v))
+    return out
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.array(got, dtype=np.float64).view(np.int64),
+                          np.array(want, dtype=np.float64).view(np.int64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 101, 256, 100_003])
+def test_group_stats_matches_per_stat_kernels(n):
+    """Bit for bit against one kernel call per stat, on unsorted v; at
+    n = 1 the sample variance, stddev, skew and kurtosis are NaN."""
+    rng = np.random.RandomState(n)
+    v = np.round(rng.normal(20, 6, size=n), 2)  # ties, as LAS z values have
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = S.group_stats(v, np.sort(v), ALL_STATS, num=4, cell_area=2.5)
+        want = _per_stat(v, ALL_STATS, 4, 2.5)
+    assert _same_bits(got, want)
+    if n == 1:
+        for st in ("variance", "stddev", "skew", "kurtosis"):
+            assert np.isnan(got[ALL_STATS.index(st)]), st
+        assert got[ALL_STATS.index("pvariance")] == 0.0
+    if n == 0:
+        assert got[0] == 0.0 and set(got[1:]) == {S.NODATA}
+
+
+def test_group_stats_unsorted_order_and_requested_subset():
+    """The moments follow v's order (not s's): here the skew of the
+    same values differs in the last bits between row and sorted order,
+    and group_stats matches the kernels in each. Only the requested
+    stats come back, in order."""
+    rng = np.random.RandomState(3)
+    v = rng.uniform(0, 1e6, 5_001)
+    s = np.sort(v)
+    skews = set()
+    for order in (v, s, v[::-1]):
+        got = S.group_stats(order, s, ALL_STATS, num=4)
+        assert _same_bits(got, _per_stat(order, ALL_STATS, 4, 1.0))
+        skews.add(got[ALL_STATS.index("skew")])
+    assert len(skews) > 1
+    sub = ("q3", "count", "median")
+    assert S.group_stats(v, s, sub, num=9) == _per_stat(v, sub, 9, 1.0)
+
+
+def test_group_stats_kurtosis_unfiltered_count():
+    rng = np.random.RandomState(11)
+    filt = rng.normal(10, 5, size=50)
+    got = S.group_stats(filt, np.sort(filt), ("kurtosis", "skew"), unfiltered_count=101)
+    want = [S.ref_kurtosis(filt, unfiltered_count=101), S.ref_skewness(filt)]
+    assert _same_bits(got, want)
+    assert got[0] != S.ref_kurtosis(filt)

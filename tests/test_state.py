@@ -394,7 +394,7 @@ def test_polygon_matcher_pairs_are_exactly_the_contained_rows(ray_session):
     )
 
 
-def test_flagship_front_matches_each_row_once(ray_session, monkeypatch):
+def test_flagship_front_matches_each_row_once(monkeypatch):
     """decode_and_join derives each batch's footprints once, over all
     of its rows, and decodes only the rows a polygon contains: one
     footprint call per front call, not one before decode and another
